@@ -7,8 +7,8 @@ EXAMPLES := $(wildcard examples/*.mc)
 BENCH_DIFF := _build/default/tools/bench_diff.exe
 
 .PHONY: all build test check lint doc-check bench bench-json bench-gate \
-	bench-baseline serve-smoke bench-serve-gate bench-serve-baseline \
-	rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
+	bench-baseline bench-table2-gate serve-smoke bench-serve-gate \
+	bench-serve-baseline rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
 	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline ci clean
 
 all: build
@@ -72,6 +72,15 @@ bench-gate: build
 bench-baseline: build
 	$(BENCH) table1 --jobs 2 --out bench/baseline.json > /dev/null
 	@echo "wrote bench/baseline.json -- commit it with the explaining change"
+
+# the Table 2 / Table 2x gate: their stdout (detection counts per tool
+# and per check backend) is deterministic, so regenerate both and diff
+# against the committed expected files
+bench-table2-gate: build
+	$(BENCH) table2 > _build/table2.out
+	diff -u bench/table2.expected _build/table2.out
+	$(BENCH) table2x > _build/table2x.out
+	diff -u bench/table2x.expected _build/table2x.out
 
 # serving-tier smoke: start the daemon on a Unix socket, drive a
 # scripted request mix through the client on every backend, assert a
@@ -175,6 +184,7 @@ ci: build test lint doc-check
 	done
 	$(BENCH) fig4 --jobs 2
 	$(MAKE) bench-gate
+	$(MAKE) bench-table2-gate
 	$(MAKE) serve-smoke
 	$(MAKE) bench-serve-gate
 	$(MAKE) rebuild-smoke

@@ -21,7 +21,8 @@ type error = { addr : int; len : int; write : bool; rip : int }
 
 type t = {
   mem : Vm.Mem.t;
-  shadow : (int, Bytes.t) Hashtbl.t; (* page -> A bits, 1 = addressable *)
+  shadow : (int, Bytes.t) Hashtbl.t;
+  (* page -> A bits, 1 = addressable; an absent page is unaddressable *)
   mutable brk : int;
   sizes : (int, int) Hashtbl.t;
   mutable quarantine : int list;
@@ -45,19 +46,38 @@ let create mem =
 let page_bits = Vm.Mem.page_bits
 let page_size = Vm.Mem.page_size
 
-let shadow_page t no =
-  match Hashtbl.find_opt t.shadow no with
-  | Some p -> p
-  | None ->
-    let p = Bytes.make page_size '\000' in
-    Hashtbl.add t.shadow no p;
-    p
+(* Valgrind's "distinguished secondary map": every wholly addressable
+   shadow page is this one shared page, never written.  Absent pages
+   are unaddressable; only a page that a marked range cuts gets a
+   private copy. *)
+let all_addressable = Bytes.make page_size '\001'
 
 let mark t ~addr ~len ~(accessible : bool) =
-  let v = if accessible then '\001' else '\000' in
-  for a = addr to addr + len - 1 do
-    Bytes.set (shadow_page t (a lsr page_bits)) (a land (page_size - 1)) v
-  done
+  if len > 0 then begin
+    let v = if accessible then '\001' else '\000' in
+    let last = addr + len - 1 in
+    for no = addr lsr page_bits to last lsr page_bits do
+      let base = no lsl page_bits in
+      let lo = max addr base and hi = min last (base + page_size - 1) in
+      if hi - lo + 1 = page_size then
+        if accessible then Hashtbl.replace t.shadow no all_addressable
+        else Hashtbl.remove t.shadow no
+      else
+        let copy fill =
+          let p = Bytes.make page_size fill in
+          Hashtbl.replace t.shadow no p;
+          Some p
+        in
+        let page =
+          match Hashtbl.find_opt t.shadow no with
+          | Some p when p == all_addressable ->
+            if accessible then None else copy '\001'
+          | Some p -> Some p
+          | None -> if accessible then copy '\000' else None
+        in
+        Option.iter (fun p -> Bytes.fill p (lo - base) (hi - lo + 1) v) page
+    done
+  end
 
 let accessible t addr =
   match Hashtbl.find_opt t.shadow (addr lsr page_bits) with

@@ -10,7 +10,9 @@ type batch = {
   deques : int list ref array; (* per-worker pending task indices *)
   run : int -> unit;           (* never raises *)
   mutable remaining : int;     (* tasks not yet finished *)
-  mutable cancelled : bool;    (* a task failed: skip the rest *)
+  mutable cutoff : int;
+  (* lowest failed index so far ([max_int] if none): tasks above it are
+     skipped, tasks below it still run and may fail at a lower index *)
 }
 
 type t = {
@@ -44,54 +46,40 @@ let jobs t = max 1 t.n
 (* with [t.lock] held: pop from own deque, else steal the back half of
    the fullest other deque *)
 let take (b : batch) w : int option =
-  if b.cancelled then begin
-    (* drain without running: pop anything so [remaining] reaches 0 *)
-    let found = ref None in
-    Array.iter
-      (fun d ->
-        match (!found, !d) with
-        | None, i :: rest ->
-          d := rest;
-          found := Some i
-        | _ -> ())
+  match !(b.deques.(w)) with
+  | i :: rest ->
+    b.deques.(w) := rest;
+    Some i
+  | [] ->
+    let victim = ref (-1) and best = ref 0 in
+    Array.iteri
+      (fun v d ->
+        let l = List.length !d in
+        if v <> w && l > !best then begin
+          victim := v;
+          best := l
+        end)
       b.deques;
-    !found
-  end
-  else
-    match !(b.deques.(w)) with
-    | i :: rest ->
-      b.deques.(w) := rest;
-      Some i
-    | [] ->
-      let victim = ref (-1) and best = ref 0 in
-      Array.iteri
-        (fun v d ->
-          let l = List.length !d in
-          if v <> w && l > !best then begin
-            victim := v;
-            best := l
-          end)
-        b.deques;
-      if !victim < 0 then None
-      else begin
-        let d = b.deques.(!victim) in
-        let rec split k xs =
-          if k = 0 then ([], xs)
-          else
-            match xs with
-            | [] -> ([], [])
-            | x :: tl ->
-              let kept, stolen = split (k - 1) tl in
-              (x :: kept, stolen)
-        in
-        let kept, stolen = split (!best / 2) !d in
-        d := kept;
-        match stolen with
-        | i :: rest ->
-          b.deques.(w) := rest;
-          Some i
-        | [] -> None
-      end
+    if !victim < 0 then None
+    else begin
+      let d = b.deques.(!victim) in
+      let rec split k xs =
+        if k = 0 then ([], xs)
+        else
+          match xs with
+          | [] -> ([], [])
+          | x :: tl ->
+            let kept, stolen = split (k - 1) tl in
+            (x :: kept, stolen)
+      in
+      let kept, stolen = split (!best / 2) !d in
+      d := kept;
+      match stolen with
+      | i :: rest ->
+        b.deques.(w) := rest;
+        Some i
+      | [] -> None
+    end
 
 let worker t w () =
   Domain.DLS.set in_worker true;
@@ -148,7 +136,7 @@ let map t f tasks =
       let b = Option.get !batch_cell in
       let skip =
         Mutex.lock t.lock;
-        let c = b.cancelled in
+        let c = i > b.cutoff in
         Mutex.unlock t.lock;
         c
       in
@@ -167,13 +155,13 @@ let map t f tasks =
         | exception e ->
           let bt = Printexc.get_raw_backtrace () in
           Mutex.lock t.lock;
-          b.cancelled <- true;
-          (match !fail with
-          | Some (j, _, _) when j <= i -> ()
-          | _ -> fail := Some (i, e, bt));
+          if i < b.cutoff then begin
+            b.cutoff <- i;
+            fail := Some (e, bt)
+          end;
           Mutex.unlock t.lock
     in
-    let b = { deques; run = run_task; remaining = n; cancelled = false } in
+    let b = { deques; run = run_task; remaining = n; cutoff = max_int } in
     batch_cell := Some b;
     Mutex.lock t.lock;
     ensure_started t;
@@ -187,7 +175,7 @@ let map t f tasks =
     done;
     Mutex.unlock t.lock;
     match !fail with
-    | Some (_, e, bt) -> Printexc.raise_with_backtrace e bt
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> Array.map (function Some v -> v | None -> assert false) results
   end
 

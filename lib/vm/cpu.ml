@@ -113,7 +113,7 @@ let create ?(max_steps = 200_000_000) () =
     acct = None;
     addr_mask = -1;
     trap_table = Hashtbl.create 64;
-    icache = Hashtbl.create 4096;
+    icache = Hashtbl.create 256;
     inputs = [];
     outputs = [];
     mem_reads = 0;

@@ -1,6 +1,7 @@
 (** Sparse paged memory over a simulated 64-bit virtual address space.
 
-    Pages are 4 KiB and materialized on [map]; accessing an unmapped
+    Pages are 4 KiB.  [map] reserves them as page intervals and a page
+    is materialized (zero-filled) on first touch; accessing an unmapped
     page faults, like the MMU would.  Addresses are OCaml [int]s: the
     simulated layout tops out at a few TiB (see {!Lowfat.Layout}),
     comfortably inside 62 bits. *)
@@ -10,9 +11,13 @@ exception Segfault of int
 let page_bits = 12
 let page_size = 1 lsl page_bits
 
+module Imap = Map.Make (Int)
+
 type t = {
   pages : (int, Bytes.t) Hashtbl.t;     (* materialized pages *)
-  reserved : (int, unit) Hashtbl.t;     (* mapped but untouched pages *)
+  mutable reserved : int Imap.t;
+  (* every mapped page, materialized or not, as disjoint and
+     non-adjacent intervals first -> last *)
   (* one-entry cache: page lookups dominate the interpreter profile *)
   mutable last_page_no : int;
   mutable last_page : Bytes.t;
@@ -20,17 +25,26 @@ type t = {
 
 let none = Bytes.create 0
 
+(* small enough for the minor heap: a run touches tens to hundreds of
+   pages, and the table grows as needed *)
 let create () =
   {
-    pages = Hashtbl.create 4096;
-    reserved = Hashtbl.create 4096;
+    pages = Hashtbl.create 64;
+    reserved = Imap.empty;
     last_page_no = -1;
     last_page = none;
   }
 
+(* is page [no] inside a reserved interval? *)
+let reserved t no =
+  match Imap.find_last_opt (fun first -> first <= no) t.reserved with
+  | Some (_, last) -> no <= last
+  | None -> false
+
 (* Demand-zero paging: [map] only reserves; the backing bytes appear on
    first touch.  This keeps huge sparse allocations (the legacy heap
-   serves multi-hundred-MB requests) cheap on the host. *)
+   serves multi-hundred-MB requests) and the 8 MiB stack cheap on the
+   host. *)
 let page_of t addr =
   let no = addr lsr page_bits in
   if no = t.last_page_no then t.last_page
@@ -41,40 +55,61 @@ let page_of t addr =
       t.last_page <- p;
       p
     | None ->
-      if Hashtbl.mem t.reserved no then begin
+      if reserved t no then begin
         let p = Bytes.make page_size '\000' in
         Hashtbl.add t.pages no p;
-        Hashtbl.remove t.reserved no;
         t.last_page_no <- no;
         t.last_page <- p;
         p
       end
       else raise (Segfault addr)
 
-let is_mapped t addr =
-  let no = addr lsr page_bits in
-  Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no
+let is_mapped t addr = reserved t (addr lsr page_bits)
 
-(** Reserve (demand-zero) every page covering [addr, addr+len). *)
+(** Reserve (demand-zero) every page covering [addr, addr+len): one
+    interval, merged with any it overlaps or touches. *)
 let map t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
-    for no = first to last do
-      if not (Hashtbl.mem t.pages no || Hashtbl.mem t.reserved no) then
-        Hashtbl.add t.reserved no ()
-    done
+    let first, last =
+      match Imap.find_last_opt (fun f -> f <= first) t.reserved with
+      | Some (f, l) when l >= first - 1 ->
+        t.reserved <- Imap.remove f t.reserved;
+        (f, max l last)
+      | _ -> (first, last)
+    in
+    let rec absorb last =
+      match Imap.find_first_opt (fun f -> f > first) t.reserved with
+      | Some (f, l) when f <= last + 1 ->
+        t.reserved <- Imap.remove f t.reserved;
+        absorb (max l last)
+      | _ -> last
+    in
+    let last = absorb last in
+    t.reserved <- Imap.add first last t.reserved
   end
 
 (** Remove the mapping; later access faults.  Used to model redzone
-    poisoning of never-reused areas and by tests. *)
+    poisoning of never-reused areas and by tests.  Intervals that
+    straddle the range are split. *)
 let unmap t ~addr ~len =
   if len > 0 then begin
     let first = addr lsr page_bits and last = (addr + len - 1) lsr page_bits in
-    for no = first to last do
-      Hashtbl.remove t.pages no;
-      Hashtbl.remove t.reserved no;
-      if t.last_page_no = no then t.last_page_no <- -1
-    done
+    let rec cut () =
+      match Imap.find_last_opt (fun f -> f <= last) t.reserved with
+      | Some (f, l) when l >= first ->
+        let m = Imap.remove f t.reserved in
+        let m = if f < first then Imap.add f (first - 1) m else m in
+        t.reserved <- (if l > last then Imap.add (last + 1) l m else m);
+        cut ()
+      | _ -> ()
+    in
+    cut ();
+    Hashtbl.filter_map_inplace
+      (fun no p -> if no >= first && no <= last then None else Some p)
+      t.pages;
+    if t.last_page_no >= first && t.last_page_no <= last then
+      t.last_page_no <- -1
   end
 
 let read_u8 t addr =

@@ -1,8 +1,10 @@
 (** Sparse paged memory over a simulated 64-bit virtual address space.
 
-    Pages are 4 KiB and materialized by {!map}; accessing an unmapped
-    page raises {!Segfault}, like the MMU would.  Addresses are OCaml
-    [int]s (the simulated layout tops out at a few TiB). *)
+    Pages are 4 KiB.  {!map} reserves pages as intervals, so its cost
+    does not grow with the length mapped; a reserved page is
+    materialized (zero-filled) on its first access.  Accessing an
+    unmapped page raises {!Segfault}, like the MMU would.  Addresses
+    are OCaml [int]s (the simulated layout tops out at a few TiB). *)
 
 exception Segfault of int
 (** Raised with the faulting address on access to an unmapped page.
@@ -16,10 +18,13 @@ type t
 val create : unit -> t
 
 val map : t -> addr:int -> len:int -> unit
-(** Materialize (zero-filled) every page covering [addr, addr+len). *)
+(** Reserve every page covering [addr, addr+len) as demand-zero: it
+    reads as zeros, and its backing bytes appear on first access.
+    Pages already mapped keep their contents. *)
 
 val unmap : t -> addr:int -> len:int -> unit
-(** Remove the mapping; later access faults. *)
+(** Remove the mapping of every page covering [addr, addr+len),
+    dropping their contents; later access faults. *)
 
 val is_mapped : t -> int -> bool
 

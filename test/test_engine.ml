@@ -63,6 +63,33 @@ let test_pool_exception_propagates () =
   Engine.Pool.close pool;
   Alcotest.(check (list int)) "pool reusable after failure" [ 2; 3; 4 ] ys
 
+(* the failure at a high index lands first: every lower-index task
+   waits for it, so a pool that cancelled everything after the first
+   failure would report "15", not the lowest failing index *)
+let test_pool_high_index_fails_first () =
+  let pool = Engine.Pool.create ~jobs:4 () in
+  let failed = Atomic.make false in
+  let r =
+    try
+      ignore
+        (Engine.Pool.map_list pool
+           (fun x ->
+             if x = 15 then begin
+               Atomic.set failed true;
+               failwith "15"
+             end;
+             while not (Atomic.get failed) do
+               Unix.sleepf 0.0005
+             done;
+             Unix.sleepf 0.005;
+             if x >= 7 then failwith (string_of_int x) else x)
+           (List.init 20 Fun.id));
+      "no exception"
+    with Failure m -> m
+  in
+  Engine.Pool.close pool;
+  Alcotest.(check string) "lowest-index failure" "7" r
+
 let test_pool_nested_map () =
   let pool = Engine.Pool.create ~jobs:3 () in
   (* a worker task fanning out again must not deadlock: nested maps
@@ -256,6 +283,25 @@ let test_compile_deterministic_across_domains () =
   in
   Alcotest.(check (list string)) "two parallel sweeps agree" (once ()) (once ())
 
+(* [X64.Encode.length] once shared one scratch buffer across domains,
+   so a parallel compile now and then computed wrong instruction
+   lengths; one sweep rarely shows it, so repeat *)
+let test_compile_parallel_eq_sequential_repeated () =
+  let progs = List.init 8 (fun seed -> Workloads.Synth.program ~seed ()) in
+  let compile p =
+    Binfmt.Relf.serialize (Minic.Codegen.compile p)
+    |> Digest.string |> Digest.to_hex
+  in
+  let expected = List.map compile progs in
+  let pool = Engine.Pool.create ~jobs:8 () in
+  Fun.protect ~finally:(fun () -> Engine.Pool.close pool) @@ fun () ->
+  for sweep = 1 to 200 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "sweep %d" sweep)
+      expected
+      (Engine.Pool.map_list pool compile progs)
+  done
+
 (* --- typed stages ---------------------------------------------------- *)
 
 let test_stage_chain () =
@@ -329,6 +375,8 @@ let tests =
     QCheck_alcotest.to_alcotest prop_pool_matches_list_map;
     Alcotest.test_case "pool: exception propagation" `Quick
       test_pool_exception_propagates;
+    Alcotest.test_case "pool: high-index failure first" `Quick
+      test_pool_high_index_fails_first;
     Alcotest.test_case "pool: nested map is safe" `Quick test_pool_nested_map;
     Alcotest.test_case "cache: hit == fresh copy of cold" `Quick
       test_cache_hit_returns_equal_fresh_copy;
@@ -346,6 +394,8 @@ let tests =
       test_juliet_parallel_eq_sequential;
     Alcotest.test_case "compile deterministic across domains" `Quick
       test_compile_deterministic_across_domains;
+    Alcotest.test_case "compile parallel == sequential, repeated" `Quick
+      test_compile_parallel_eq_sequential_repeated;
     Alcotest.test_case "typed stage chain" `Quick test_stage_chain;
     Alcotest.test_case "report JSON shape" `Quick test_report_json_shape;
   ]

@@ -144,6 +144,78 @@ let test_dispatch_overhead_charged () =
   Alcotest.(check bool) "DBI is much slower" true
     (mc_run.cycles > base.cycles * 4)
 
+(* --- the shadow map ---------------------------------------------------- *)
+
+let psz = Vm.Mem.page_size
+let shadow_base = 0x60_0000
+let shadow_pages = 8
+
+(* [mark] against a model that marks byte by byte; ranges start near
+   page boundaries and often cross them or cover whole pages *)
+let prop_mark_matches_byte_model =
+  let open QCheck in
+  let gen_mark =
+    Gen.(
+      map3
+        (fun a l acc -> (a, l, acc))
+        (map2
+           (fun page off -> shadow_base + (page * psz) + off)
+           (int_bound (shadow_pages - 1))
+           (oneof
+              [ int_range 0 15; int_range (psz - 15) (psz - 1);
+                int_bound (psz - 1) ]))
+        (oneof [ int_range 0 32; int_range 1 (3 * psz); return psz ])
+        bool)
+  in
+  let print = Print.(list (triple int int bool)) in
+  Test.make ~count:200 ~name:"memcheck mark agrees with a byte model"
+    (make ~print ~shrink:Shrink.list Gen.(list_size (int_range 1 20) gen_mark))
+    (fun marks ->
+      let t = Mc.create (Vm.Mem.create ()) in
+      let span = (shadow_pages + 3) * psz in
+      let model = Bytes.make span '\000' in
+      List.iter
+        (fun (addr, len, acc) ->
+          Mc.mark t ~addr ~len ~accessible:acc;
+          Bytes.fill model (addr - shadow_base) len
+            (if acc then '\001' else '\000'))
+        marks;
+      for a = shadow_base - psz to shadow_base + span - 1 do
+        let want =
+          a >= shadow_base && Bytes.get model (a - shadow_base) = '\001'
+        in
+        if Mc.accessible t a <> want then
+          Test.fail_reportf "byte %#x: accessible %b, model %b" a
+            (not want) want
+      done;
+      true)
+
+(* wholly addressable pages share one shadow page: clearing part of
+   one of them must not clear the others, in this tool or another *)
+let test_shared_page_never_mutated () =
+  let t = Mc.create (Vm.Mem.create ()) in
+  let other = Mc.create (Vm.Mem.create ()) in
+  Mc.mark t ~addr:shadow_base ~len:(4 * psz) ~accessible:true;
+  Mc.mark other ~addr:shadow_base ~len:psz ~accessible:true;
+  Mc.mark t ~addr:(shadow_base + psz + 100) ~len:8 ~accessible:false;
+  Mc.mark t ~addr:(shadow_base + (3 * psz) - 4) ~len:8 ~accessible:false;
+  let cleared a =
+    (a >= shadow_base + psz + 100 && a < shadow_base + psz + 108)
+    || (a >= shadow_base + (3 * psz) - 4 && a < shadow_base + (3 * psz) + 4)
+  in
+  for a = shadow_base to shadow_base + (4 * psz) - 1 do
+    if Mc.accessible t a = cleared a then
+      Alcotest.failf "byte %#x: accessible %b" a (Mc.accessible t a)
+  done;
+  for a = shadow_base to shadow_base + psz - 1 do
+    if not (Mc.accessible other a) then
+      Alcotest.failf "other tool, byte %#x: unaddressable" a
+  done;
+  let fresh = Mc.create (Vm.Mem.create ()) in
+  Mc.mark fresh ~addr:shadow_base ~len:psz ~accessible:true;
+  Alcotest.(check bool) "a fresh whole-page mark is addressable" true
+    (Mc.accessible fresh (shadow_base + 100))
+
 let tests =
   [
     Alcotest.test_case "clean program" `Quick test_clean_program_no_errors;
@@ -157,4 +229,7 @@ let tests =
     Alcotest.test_case "error dedup" `Quick test_error_dedup_by_site;
     Alcotest.test_case "dispatch overhead" `Quick
       test_dispatch_overhead_charged;
+    QCheck_alcotest.to_alcotest prop_mark_matches_byte_model;
+    Alcotest.test_case "shared shadow page never mutated" `Quick
+      test_shared_page_never_mutated;
   ]

@@ -55,6 +55,136 @@ let test_mem_sparse_far_addresses () =
   Vm.Mem.write m ~addr:far ~len:8 99;
   Alcotest.(check int) "far address" 99 (Vm.Mem.read m ~addr:far ~len:8)
 
+(* Random map/unmap/read/write/is_mapped sequences against a reference
+   model that keeps one table entry per mapped page, zero-filled at map
+   time.  Ranges fall in a 16-page window, so merges of adjacent and
+   overlapping ranges and unmaps that split a range are frequent. *)
+
+type mem_op =
+  | Map of int * int
+  | Unmap of int * int
+  | Write of int * int * int
+  | Read of int * int
+  | Is_mapped of int
+
+let window_base = 0x40_0000
+let window_pages = 16
+let psz = Vm.Mem.page_size
+
+let show_mem_op = function
+  | Map (a, l) -> Printf.sprintf "map %#x %d" a l
+  | Unmap (a, l) -> Printf.sprintf "unmap %#x %d" a l
+  | Write (a, l, v) -> Printf.sprintf "write %#x %d %d" a l v
+  | Read (a, l) -> Printf.sprintf "read %#x %d" a l
+  | Is_mapped a -> Printf.sprintf "is_mapped %#x" a
+
+let gen_mem_ops =
+  let open QCheck.Gen in
+  (* addresses cluster near page boundaries, where the bugs live *)
+  let addr =
+    map2
+      (fun page off -> window_base + (page * psz) + off)
+      (int_range (-1) window_pages)
+      (oneof
+         [ int_range 0 15; int_range (psz - 15) (psz - 1); int_bound (psz - 1) ])
+  in
+  let range_len = oneof [ int_range 1 16; int_range 1 (4 * psz) ] in
+  let width = oneofl [ 1; 2; 4; 8 ] in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (3, map2 (fun a l -> Map (a, l)) addr range_len);
+         (2, map2 (fun a l -> Unmap (a, l)) addr range_len);
+         (3, map3 (fun a l v -> Write (a, l, v)) addr width int);
+         (3, map2 (fun a l -> Read (a, l)) addr width);
+         (1, map (fun a -> Is_mapped a) addr);
+       ])
+
+module Model = struct
+  let create () : (int, Bytes.t) Hashtbl.t = Hashtbl.create 16
+
+  let pages addr len f =
+    for no = addr / psz to (addr + len - 1) / psz do
+      f no
+    done
+
+  let map m addr len =
+    pages addr len (fun no ->
+        if not (Hashtbl.mem m no) then Hashtbl.add m no (Bytes.make psz '\000'))
+
+  let unmap m addr len = pages addr len (Hashtbl.remove m)
+
+  let page m a =
+    match Hashtbl.find_opt m (a / psz) with
+    | Some p -> p
+    | None -> raise (Vm.Mem.Segfault a)
+
+  (* byte by byte from the lowest address, like the VM *)
+  let write m addr len v =
+    for k = 0 to len - 1 do
+      Bytes.set (page m (addr + k)) ((addr + k) mod psz)
+        (Char.chr ((v lsr (8 * k)) land 0xff))
+    done
+
+  let read m addr len =
+    let v = ref 0 in
+    for k = 0 to len - 1 do
+      let b = Char.code (Bytes.get (page m (addr + k)) ((addr + k) mod psz)) in
+      v := !v lor (b lsl (8 * k))
+    done;
+    !v
+end
+
+let prop_mem_matches_page_model =
+  QCheck.Test.make ~count:500 ~name:"mem agrees with a per-page model"
+    (QCheck.make ~print:(QCheck.Print.list show_mem_op)
+       ~shrink:QCheck.Shrink.list gen_mem_ops)
+    (fun ops ->
+      let m = Vm.Mem.create () and r = Model.create () in
+      let outcome f = try Ok (f ()) with Vm.Mem.Segfault a -> Error a in
+      let action f = outcome (fun () -> f (); 0) in
+      let show = function
+        | Ok v -> string_of_int v
+        | Error a -> Printf.sprintf "segv %#x" a
+      in
+      let step op =
+        let got, want =
+          match op with
+          | Map (a, l) ->
+            (action (fun () -> Vm.Mem.map m ~addr:a ~len:l),
+             action (fun () -> Model.map r a l))
+          | Unmap (a, l) ->
+            (action (fun () -> Vm.Mem.unmap m ~addr:a ~len:l),
+             action (fun () -> Model.unmap r a l))
+          | Write (a, l, v) ->
+            (action (fun () -> Vm.Mem.write m ~addr:a ~len:l v),
+             action (fun () -> Model.write r a l v))
+          | Read (a, l) ->
+            (outcome (fun () -> Vm.Mem.read m ~addr:a ~len:l),
+             outcome (fun () -> Model.read r a l))
+          | Is_mapped a ->
+            (Ok (Bool.to_int (Vm.Mem.is_mapped m a)),
+             Ok (Bool.to_int (Hashtbl.mem r (a / psz))))
+        in
+        if got <> want then
+          QCheck.Test.fail_reportf "%s: %s, model %s" (show_mem_op op)
+            (show got) (show want)
+      in
+      List.iter step ops;
+      (* every page of the window: same mapped-ness, same bytes *)
+      let first = window_base / psz in
+      for no = first - 1 to first + window_pages + 4 do
+        let a = no * psz in
+        let mapped = Hashtbl.mem r no in
+        if Vm.Mem.is_mapped m a <> mapped then
+          QCheck.Test.fail_reportf "page %#x: is_mapped disagrees" a;
+        if mapped
+           && Vm.Mem.read_string m ~addr:a ~len:psz
+              <> Bytes.to_string (Hashtbl.find r no)
+        then QCheck.Test.fail_reportf "page %#x: bytes differ" a
+      done;
+      true)
+
 (* --- Cpu ------------------------------------------------------------- *)
 
 let null_rt =
@@ -379,6 +509,7 @@ let tests =
     Alcotest.test_case "mem unmap" `Quick test_mem_unmap;
     Alcotest.test_case "mem sparse far addresses" `Quick
       test_mem_sparse_far_addresses;
+    QCheck_alcotest.to_alcotest prop_mem_matches_page_model;
     Alcotest.test_case "arithmetic" `Quick test_arith;
     Alcotest.test_case "logic" `Quick test_logic;
     Alcotest.test_case "condition codes" `Quick test_conditions;
