@@ -3,10 +3,11 @@
 BENCH := _build/default/bench/main.exe
 REDFAT := _build/default/bin/redfat_cli.exe
 EXAMPLES := $(wildcard examples/*.mc)
+EXAMPLE_EXES := $(patsubst examples/%.ml,_build/default/examples/%.exe,$(wildcard examples/*.ml))
 
 BENCH_DIFF := _build/default/tools/bench_diff.exe
 
-.PHONY: all build test check lint doc-check bench bench-json bench-gate \
+.PHONY: all build test check lint doc-check run-examples bench bench-json bench-gate \
 	bench-baseline bench-table2-gate serve-smoke bench-serve-gate \
 	bench-serve-baseline rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
 	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline ci clean
@@ -40,13 +41,21 @@ doc-check:
 	dune build tools/doc_check.exe
 	_build/default/tools/doc_check.exe
 
-# the tier-1 gate plus the lint audit, the docs-sync gate, and a
-# parallel-engine smoke run
+# run every OCaml example end to end; a nonzero exit fails the build
+run-examples: build
+	@set -e; for exe in $(EXAMPLE_EXES); do \
+	  $$exe > /dev/null; \
+	  echo "$$exe: OK"; \
+	done
+
+# the tier-1 gate plus the lint audit, the docs-sync gate, the
+# examples, and a parallel-engine smoke run
 check:
 	dune build
 	dune runtest
 	$(MAKE) lint
 	$(MAKE) doc-check
+	$(MAKE) run-examples
 	dune build bench/main.exe
 	$(BENCH) fig4 --jobs 2
 
@@ -171,7 +180,7 @@ bench-fuzz-baseline: build
 	@echo "wrote bench/fuzz_baseline.json -- commit it with the explaining change"
 
 # everything CI runs, in one local command (mirrors .github/workflows/ci.yml)
-ci: build test lint doc-check
+ci: build test lint doc-check run-examples
 	@set -e; for b in redzone lowfat temporal; do \
 	  $(REDFAT) pipeline spec:mcf uaf:CWE416_write-after-free_v0 \
 	    uaf:double-free --backend $$b --no-cache > /dev/null; \

@@ -6,8 +6,8 @@
    a site never executed during profiling falls back to (Redzone)-only
    checking in production, losing the non-incremental protection.  This
    example profiles a branchy program twice — once with a single naive
-   seed, once with the fuzzer growing the suite — and compares the
-   resulting production coverage. *)
+   seed, once with the suite a fuzzing campaign ([Fuzz.Campaign]) grows
+   from that seed — and compares the resulting production coverage. *)
 
 open Minic.Build
 
@@ -50,14 +50,17 @@ let () =
   Printf.printf "naive test suite (one input): %d allow-listed sites\n"
     (List.length naive_allow);
 
-  (* fuzzed: grow the suite first *)
-  let stats = Fuzz.Fuzzer.fuzz ~seeds:[ [ 0; 0 ] ] ~budget:400 ~seed:11 binary in
-  Printf.printf
-    "fuzzer: %d executions, corpus of %d inputs, %d/%d sites reached\n"
-    stats.executions (List.length stats.corpus) stats.sites_covered
-    stats.total_sites;
-  let fuzzed_allow = Redfat.profile ~test_suite:stats.corpus binary in
-  Printf.printf "fuzzed test suite: %d allow-listed sites\n"
+  (* fuzzed: grow the suite from the same seed with a campaign *)
+  let eng = Engine.Pipeline.create ~cache:false () in
+  let config = { Fuzz.Campaign.default_config with budget = 400; seed = 11 } in
+  let suite =
+    Fuzz.Campaign.profile_suite eng ~config ~seeds:[ [ 0; 0 ] ] binary
+  in
+  Engine.Pipeline.close eng;
+  Printf.printf "campaign: %d executions, suite of %d inputs\n" config.budget
+    (List.length suite);
+  let fuzzed_allow = Redfat.profile ~test_suite:suite binary in
+  Printf.printf "campaign test suite: %d allow-listed sites\n"
     (List.length fuzzed_allow);
 
   (* the production coverage difference, measured on a ref-like run *)
@@ -70,10 +73,10 @@ let () =
   in
   Printf.printf
     "\nproduction coverage on a full-featured input (mode=5, x=7):\n";
-  Printf.printf "  allow-list from the naive suite:  %.1f%% full checking\n"
+  Printf.printf "  allow-list from the naive suite:    %.1f%% full checking\n"
     (measure naive_allow);
-  Printf.printf "  allow-list from the fuzzed suite: %.1f%% full checking\n"
+  Printf.printf "  allow-list from the campaign suite: %.1f%% full checking\n"
     (measure fuzzed_allow);
   print_endline
-    "\nevery site the fuzzer reached keeps the stronger (Redzone)+(LowFat)\n\
+    "\nevery site the campaign reached keeps the stronger (Redzone)+(LowFat)\n\
      protection in production; unreached sites degrade to (Redzone)-only."

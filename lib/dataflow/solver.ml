@@ -1,4 +1,4 @@
-(** Generic worklist fixpoint solver, functorized over the lattice.
+(** A generic worklist fixpoint solver, functorized over the lattice.
 
     One engine for every analysis in this library: a problem supplies
     the fact type, the join, the boundary fact for roots (forward) or

@@ -1,4 +1,4 @@
-(** Generic worklist fixpoint solver, functorized over the lattice. *)
+(** A generic worklist fixpoint solver, functorized over the lattice. *)
 
 module type PROBLEM = sig
   type fact

@@ -72,11 +72,13 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
 
 (* --- one execution of a hardened binary ----------------------------- *)
 
-(** Run [inputs] through the hardened binary with the backend the
-    binary itself records, collecting edge/site coverage and the
-    oracle's verdict.  Pure per call (fresh VM and runtime), so
-    executions fan out over domains safely. *)
-let execute ?(max_steps = default_config.max_steps)
+(* Run [inputs] through the hardened binary with the backend the
+   binary itself records, collecting edge/site coverage and the
+   oracle's verdict.  [mode] is the runtime's: [Harden] makes a failed
+   check a crash, [Log] (the profiling phase's) records it and runs
+   on.  Pure per call (fresh VM and runtime), so executions fan out
+   over domains safely. *)
+let execute_in ~mode ?(max_steps = default_config.max_steps)
     (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
   let cpu = Redfat.prepare ~max_steps binary in
   cpu.inputs <- inputs;
@@ -84,7 +86,8 @@ let execute ?(max_steps = default_config.max_steps)
     (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
     (Redfat.Rewrite.traps_of_binary binary);
   let options =
-    { Runtime.default_options with backend = Redfat.backend_of_binary binary }
+    { Runtime.default_options with
+      backend = Redfat.backend_of_binary binary; mode }
   in
   let rt = Runtime.create ~options cpu.mem in
   let vmrt = Runtime.install rt cpu in
@@ -143,6 +146,9 @@ let execute ?(max_steps = default_config.max_steps)
     x_cycles = cpu.cycles;
   }
 
+let execute ?max_steps binary inputs =
+  execute_in ~mode:Runtime.Harden ?max_steps binary inputs
+
 (* --- the generic campaign loop -------------------------------------- *)
 
 (** Batch size for one pool fan-out.  A constant (never derived from
@@ -162,14 +168,15 @@ let render_bytes (s : string) =
   let s = Buffer.contents b in
   if String.length s <= 64 then s else String.sub s 0 61 ^ "..."
 
-(* The loop shared by exec and parser campaigns, parametric in the
-   input type.  [run_one] executes one input; [det]/[havoc] are the
-   mutation stages; [render] prints an input into the report. *)
+(* The loop shared by exec, profile and parser campaigns, parametric
+   in the input type.  [run_one] executes one input; [det]/[havoc] are
+   the mutation stages; [render] prints an input into the report.
+   Returns the report and the final corpus. *)
 let campaign_loop (eng : Pl.t) (config : config) ~target ~mode ~backend
     ~(seeds : 'a list) ~(run_one : 'a -> exec_result)
     ~(det : 'a -> 'a list) ~(havoc : Mutate.Rng.t -> 'a -> 'a)
     ~(empty : 'a) ~(render : 'a -> string)
-    ~(minimize : (('a -> bool) -> 'a -> 'a) option) : report =
+    ~(minimize : (('a -> bool) -> 'a -> 'a) option) : report * 'a Corpus.t =
   let obs = Pl.obs eng in
   let rng = Mutate.Rng.create config.seed in
   let corpus = Corpus.create () in
@@ -254,20 +261,21 @@ let campaign_loop (eng : Pl.t) (config : config) ~target ~mode ~backend
   Obs.add obs ~n:(List.length r_bugs) "fuzz.unique_bugs";
   Obs.add obs ~n:(Corpus.size corpus) "fuzz.corpus_entries";
   Obs.add obs ~n:!min_execs "fuzz.min_execs";
-  {
-    r_target = target;
-    r_mode = mode;
-    r_backend = backend;
-    r_seed = config.seed;
-    r_budget = config.budget;
-    r_execs = !execs;
-    r_crashes = !crashes;
-    r_cov_edges = Corpus.n_edges corpus;
-    r_cov_sites = Corpus.n_sites corpus;
-    r_corpus = Corpus.size corpus;
-    r_min_execs = !min_execs;
-    r_bugs;
-  }
+  ( {
+      r_target = target;
+      r_mode = mode;
+      r_backend = backend;
+      r_seed = config.seed;
+      r_budget = config.budget;
+      r_execs = !execs;
+      r_crashes = !crashes;
+      r_cov_edges = Corpus.n_edges corpus;
+      r_cov_sites = Corpus.n_sites corpus;
+      r_corpus = Corpus.size corpus;
+      r_min_execs = !min_execs;
+      r_bugs;
+    },
+    corpus )
 
 (* --- minimizers ------------------------------------------------------ *)
 
@@ -352,6 +360,28 @@ let run_exec (eng : Pl.t) ?(config = default_config) ~target
     ~run_one:(execute ~max_steps:config.max_steps hard)
     ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
     ~render:render_inputs ~minimize:(Some minimize_inputs)
+  |> fst
+
+(* --- profile campaigns ----------------------------------------------- *)
+
+(** Paper §5's profiling booster: fuzz the binary's profiling build in
+    the profiling phase's [Log] mode, and hand back the kept corpus
+    as the test suite for {!Redfat.profile}.  Every kept input reached
+    a check site or edge no earlier one did, so each grows the set of
+    sites the allow-list can vouch for. *)
+let profile_suite (eng : Pl.t) ?(config = default_config)
+    ?(seeds = [ []; [ 0 ] ]) (binary : Binfmt.Relf.t) : int list list =
+  let prof =
+    (Pl.harden eng ~opts:Redfat.Rewrite.profiling_build binary).binary
+  in
+  let backend = Backend.Check_backend.name (Redfat.backend_of_binary prof) in
+  let _, corpus =
+    campaign_loop eng config ~target:"profile" ~mode:"profile" ~backend ~seeds
+      ~run_one:(execute_in ~mode:Runtime.Log ~max_steps:config.max_steps prof)
+      ~det:Mutate.deterministic_stage ~havoc:Mutate.havoc ~empty:[]
+      ~render:render_inputs ~minimize:None
+  in
+  Corpus.entries corpus
 
 (* --- parser campaigns ------------------------------------------------ *)
 
@@ -417,6 +447,7 @@ let run_parse (eng : Pl.t) ?(config = default_config)
     ~run_one:(parse_once which)
     ~det:Mutate.deterministic_stage_bytes ~havoc:Mutate.havoc_bytes ~empty:""
     ~render:render_bytes ~minimize:(Some minimize_bytes)
+  |> fst
 
 (* --- report rendering ------------------------------------------------ *)
 

@@ -64,6 +64,20 @@ val run_exec :
     [fuzz.*] campaign counters and the [fuzz.exec_cycles] histogram
     into the engine's collector. *)
 
+val profile_suite :
+  Engine.Pipeline.t ->
+  ?config:config ->
+  ?seeds:int list list ->
+  Binfmt.Relf.t ->
+  int list list
+(** Paper §5's profiling booster: run an exec campaign over the
+    binary's {!Redfat.Rewrite.profiling_build} (runtime in [Log] mode,
+    so a failed check is recorded, not fatal) and return the kept
+    corpus, oldest first, as a [test_suite] for {!Redfat.profile} /
+    {!Engine.Pipeline.profile}.  Same (binary, seeds, config), same
+    suite.  An input kept by the campaign may hang past
+    [config.max_steps]; pass the same [max_steps] to the profiler. *)
+
 type parser_target = Relf_parser | Minic_parser
 
 val parser_name : parser_target -> string

@@ -76,7 +76,6 @@ type t = {
   mutable max_steps : int;
   (* instrumentation hooks *)
   mutable on_check : (t -> X64.Isa.check -> int) option;
-  mutable on_probe : (t -> int -> int) option;
   mutable on_mem : (t -> addr:int -> len:int -> write:bool -> unit) option;
   mutable dispatch_cost : int;  (** extra cycles per instruction (DBI) *)
   mutable acct : acct option;   (** per-site check accounting *)
@@ -107,7 +106,6 @@ let create ?(max_steps = 200_000_000) () =
     steps = 0;
     max_steps;
     on_check = None;
-    on_probe = None;
     on_mem = None;
     dispatch_cost = 0;
     acct = None;
@@ -357,12 +355,6 @@ let step t (rt : runtime) =
         | Some a -> acct_record a c cost
         | None -> ())
      | None -> ());
-    t.rip <- next
-  | Probe id ->
-    (* a shared-memory counter update in the real tool: ~3 instructions *)
-    (match t.on_probe with
-     | Some f -> t.cycles <- t.cycles + f t id
-     | None -> t.cycles <- t.cycles + 3);
     t.rip <- next
 
 (** Run from [entry] until the program halts (final ret, hlt, or

@@ -52,8 +52,6 @@ type t = {
   mutable max_steps : int;
   mutable on_check : (t -> X64.Isa.check -> int) option;
       (** instrumentation hook: returns the cycle cost to charge *)
-  mutable on_probe : (t -> int -> int) option;
-      (** generic-instrumentation hook (E9Tool payloads) *)
   mutable on_mem : (t -> addr:int -> len:int -> write:bool -> unit) option;
       (** DBI hook, called on every explicit memory access *)
   mutable dispatch_cost : int;        (** extra cycles per instruction *)

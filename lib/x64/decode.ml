@@ -163,7 +163,6 @@ let decode ~(addr : int) (buf : string) (off : int) : Isa.instr * int =
       | o when o = Encode.op_nop -> Nop 1
       | o when o = Encode.op_hlt -> Hlt
       | o when o = Encode.op_trap -> Trap
-      | o when o = Encode.op_probe -> Probe (i32 c)
       | o when o = Encode.op_check ->
         let flags = u8 c in
         let nsaves = u8 c in

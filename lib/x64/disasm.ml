@@ -75,7 +75,6 @@ let to_string (i : Isa.instr) : string =
   | Nop n -> if n = 1 then "nop" else Printf.sprintf "nop%d" n
   | Hlt -> "hlt"
   | Trap -> "trap"
-  | Probe id -> Printf.sprintf "probe %d" id
   | Check c ->
     Printf.sprintf "check.%s%s %s lo=%d hi=%d site=%#x"
       (match c.ck_variant with

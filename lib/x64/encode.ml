@@ -99,7 +99,6 @@ let op_push = 0x50 (* .. 0x5f *)
 let op_pop = 0x60 (* .. 0x6f *)
 let op_nop = 0x90
 let op_check = 0xe0
-let op_probe = 0xe2
 let op_trap = 0xcc
 let op_hlt = 0xf4
 
@@ -158,9 +157,6 @@ let encode_at b (addr : int) (i : Isa.instr) : unit =
      for _ = 1 to n do put_u8 b op_nop done
    | Hlt -> put_u8 b op_hlt
    | Trap -> put_u8 b op_trap
-   | Probe id ->
-     put_u8 b op_probe;
-     put_i32 b id
    | Check c ->
      put_u8 b op_check;
      let flags =

@@ -39,7 +39,6 @@ val op_push : int
 val op_pop : int
 val op_nop : int
 val op_check : int
-val op_probe : int
 val op_trap : int
 val op_hlt : int
 

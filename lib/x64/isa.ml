@@ -136,8 +136,6 @@ type instr =
   | Hlt
   | Trap                                (* 1-byte; VM consults trap table *)
   | Check of check                      (* pseudo; trampolines only *)
-  | Probe of int                        (* generic instrumentation point
-                                           (E9Tool-style payload id) *)
 
 (* ------------------------------------------------------------------ *)
 (* Static properties used by the rewriter's analyses.                  *)
@@ -179,7 +177,6 @@ let uses = function
   | Pop _ -> [ rsp ]
   | Callrt _ -> [ rdi; rsi ]
   | Nop _ | Hlt | Trap -> []
-  | Probe _ -> []
   | Check c -> mem_uses c.ck_mem
 
 (** Registers written by the instruction. *)
@@ -198,7 +195,6 @@ let defs = function
   | Pop d -> [ d; rsp ]
   | Callrt _ -> [ rax ]
   | Nop _ | Hlt | Trap -> []
-  | Probe _ -> []
   | Check _ -> []
 
 let writes_flags = function

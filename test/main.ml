@@ -14,9 +14,7 @@ let () =
       ("shard", Test_shard.tests);
       ("shared-objects", Test_shared_objects.tests);
       ("profile", Test_profile.tests);
-      ("fuzzer", Test_fuzzer.tests);
       ("fuzz", Test_fuzz.tests);
-      ("e9afl", Test_e9afl.tests);
       ("uaf", Test_uaf.tests);
       ("backend", Test_backend.tests);
       ("cli", Test_cli.tests);

@@ -97,6 +97,13 @@ let test_of_exn_classification () =
   check_code (Binfmt.Relf.Parse_error "bad int zz") "parse.int";
   check_code (X64.Decode.Decode_error { addr = 0x400000; byte = 0xff })
     "decode.insn";
+  (* 0xe2, once an instrumentation-probe opcode, is no longer an
+     instruction: the decoder itself must reject it with the typed error *)
+  check_code
+    (match X64.Decode.decode ~addr:0x400000 "\xe2\x00\x00\x00\x00" 0 with
+     | _ -> Alcotest.fail "0xe2 decoded"
+     | exception e -> e)
+    "decode.insn";
   check_code (Sys_error "foo: No such file or directory") "io.read";
   check_code (Failure "anything") "run.fault";
   check_code (Invalid_argument "whatever") "run.fault";

@@ -1,8 +1,9 @@
 (* The fuzzing fleet: campaign determinism (same seed => byte-identical
    report, for any --jobs), crash dedup, minimizer soundness (the
    minimized input still trips the original (code, site) pair), the
-   coverage-feedback scheduler, and the parser-campaign triage contract
-   over the shared corrupt corpus. *)
+   coverage-feedback scheduler, the profile campaign that grows the
+   allow-list's test suite (paper §5), and the parser-campaign triage
+   contract over the shared corrupt corpus. *)
 
 module Pl = Engine.Pipeline
 module Campaign = Fuzz.Campaign
@@ -191,6 +192,139 @@ let test_scheduler_favors_new_edges () =
     (picks.(1) > picks.(0));
   Alcotest.(check bool) "low-novelty entry still drawn" true (picks.(0) > 0)
 
+(* --- profile campaigns: paper §5's coverage booster -------------------- *)
+
+(* heap accesses hidden behind input-dependent branches: a naive seed
+   input covers only the always-taken path *)
+let gated_program =
+  let open Minic.Ast in
+  let open Minic.Build in
+  program
+    [
+      func ~name:"main"
+        [
+          let_ "a" (alloc_elems (i 16));
+          let_ "x" Input;
+          (* always executed *)
+          set (v "a") (i 0) (v "x");
+          (* threshold-gated paths, reachable by +-1 mutations *)
+          if_ (v "x" >: i 4) [ set (v "a") (i 1) (i 11) ] [];
+          if_ (v "x" >: i 60) [ set (v "a") (i 2) (i 22) ] [];
+          if_ (v "x" &: i 1 =: i 1) [ set (v "a") (i 3) (i 33) ] [];
+          (* a second input gates one more *)
+          let_ "y" Input;
+          if_ (v "y" >: i 2) [ set (v "a") (i 4) (i 44) ] [];
+          let_ "s" (i 0);
+          for_ "j" (i 0) (i 16) [ assign "s" (v "s" +: idx (v "a") (v "j")) ];
+          print_ (v "s");
+          free_ (v "a");
+          return_ (i 0);
+        ];
+    ]
+
+let gated = Minic.Codegen.compile gated_program
+
+let profile_suite ?(budget = 300) ?(seed = 7) ?(seeds = [ [ 0 ] ]) bin =
+  with_engine @@ fun eng ->
+  Campaign.profile_suite eng
+    ~config:{ Campaign.default_config with budget; seed }
+    ~seeds bin
+
+(* check sites a suite executes on the profiling build *)
+let sites_covered suite bin =
+  let prof = (Redfat.harden ~opts:Rw.profiling_build bin).binary in
+  List.concat_map (fun inputs -> (Campaign.execute prof inputs).x_sites) suite
+  |> List.sort_uniq compare |> List.length
+
+let test_profile_suite_deterministic () =
+  let a = profile_suite gated and b = profile_suite gated in
+  Alcotest.(check (list (list int))) "same seed, same suite" a b
+
+let test_profile_suite_beats_seed_coverage () =
+  let seeds_only = profile_suite ~budget:1 gated in
+  let grown = profile_suite gated in
+  let before = sites_covered seeds_only gated
+  and after = sites_covered grown gated in
+  Alcotest.(check bool)
+    (Printf.sprintf "coverage grew (%d -> %d sites)" before after)
+    true (after > before);
+  Alcotest.(check bool) "suite grew" true
+    (List.length grown > List.length seeds_only)
+
+let test_profile_suite_grows_allowlist () =
+  let naive = Redfat.profile ~test_suite:[ [ 0 ] ] gated in
+  let grown = Redfat.profile ~test_suite:(profile_suite gated) gated in
+  Alcotest.(check bool)
+    (Printf.sprintf "allow-list grew (%d -> %d)" (List.length naive)
+       (List.length grown))
+    true
+    (List.length grown > List.length naive)
+
+let test_profile_suite_production_clean () =
+  let test_suite = profile_suite ~budget:200 ~seed:3 gated in
+  let hard = Redfat.profile_and_harden ~test_suite gated in
+  List.iter
+    (fun inputs ->
+      match (Redfat.run_hardened ~inputs hard.binary).verdict with
+      | Redfat.Finished 0 -> ()
+      | v ->
+        Alcotest.failf "inputs %s: %s"
+          (String.concat "," (List.map string_of_int inputs))
+          (Redfat.verdict_to_string v))
+    [ [ 0; 0 ]; [ 5; 3 ]; [ 100; 9 ]; [ 61; 1 ] ]
+
+(* input-dependent phases: the program of examples/fuzzing_profiler.ml,
+   whose numbers EXPERIMENTS.md quotes *)
+let phases_program =
+  let open Minic.Build in
+  Minic.Ast.program
+    [
+      Minic.Ast.func ~name:"main"
+        [
+          let_ "a" (alloc_elems (i 32));
+          let_ "mode" Input;
+          let_ "x" Input;
+          for_ "j" (i 0) (i 8) [ set (v "a") (v "j") (v "j") ];
+          if_ (v "mode" >: i 0)
+            [ for_ "j" (i 8) (i 16) [ set (v "a") (v "j") (v "j" *: i 2) ] ]
+            [];
+          if_ (v "mode" >: i 3)
+            [ for_ "j" (i 16) (i 24) [ set (v "a") (v "j") (v "j" *: i 3) ] ]
+            [];
+          if_
+            (v "x" &: i 1 =: i 1)
+            [ for_ "j" (i 24) (i 32) [ set (v "a") (v "j") (v "j" *: i 5) ] ]
+            [];
+          let_ "s" (i 0);
+          for_ "j" (i 0) (i 32) [ assign "s" (v "s" +: idx (v "a") (v "j")) ];
+          print_ (v "s");
+          free_ (v "a");
+          return_ (i 0);
+        ];
+    ]
+
+let test_profile_suite_experiments_numbers () =
+  let bin = Minic.Codegen.compile phases_program in
+  let coverage allow =
+    let hard =
+      Redfat.harden ~opts:(Rw.production ~allowlist:allow) bin
+    in
+    Redfat.Runtime.coverage_percent
+      (Redfat.run_hardened ~inputs:[ 5; 7 ] hard.binary).rt
+  in
+  let naive = Redfat.profile ~test_suite:[ [ 0; 0 ] ] bin in
+  let grown =
+    Redfat.profile
+      ~test_suite:(profile_suite ~budget:400 ~seed:11 ~seeds:[ [ 0; 0 ] ] bin)
+      bin
+  in
+  Alcotest.(check int) "naive allow-list" 2 (List.length naive);
+  Alcotest.(check int) "campaign allow-list" 5 (List.length grown);
+  Alcotest.(check string) "naive coverage" "62.5"
+    (Printf.sprintf "%.1f" (coverage naive));
+  Alcotest.(check string) "campaign coverage" "100.0"
+    (Printf.sprintf "%.1f" (coverage grown))
+
 (* --- the parser campaigns and the corrupt corpus --------------------- *)
 
 let test_corrupt_corpus_classified () =
@@ -256,6 +390,16 @@ let tests =
       test_corpus_keeps_only_new_coverage;
     Alcotest.test_case "scheduler favors frontier openers" `Quick
       test_scheduler_favors_new_edges;
+    Alcotest.test_case "profile suite deterministic" `Quick
+      test_profile_suite_deterministic;
+    Alcotest.test_case "profile suite beats seed coverage" `Quick
+      test_profile_suite_beats_seed_coverage;
+    Alcotest.test_case "profile suite grows allow-list" `Quick
+      test_profile_suite_grows_allowlist;
+    Alcotest.test_case "profile suite production clean" `Quick
+      test_profile_suite_production_clean;
+    Alcotest.test_case "profile suite EXPERIMENTS numbers" `Quick
+      test_profile_suite_experiments_numbers;
     Alcotest.test_case "corrupt corpus all classified" `Quick
       test_corrupt_corpus_classified;
     Alcotest.test_case "parser campaign stays typed" `Quick

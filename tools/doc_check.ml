@@ -1,5 +1,5 @@
 (* doc_check: fail the build when the documentation drifts from the
-   code.  Five checks:
+   code.  Six checks:
 
    1. every CLI flag declared in bin/redfat_cli.ml appears in
       docs/MANUAL.md (and the manual doesn't document flags that no
@@ -15,7 +15,10 @@
    5. every `fuzz.*` counter or histogram docs/INTERNALS.md names in
       backticks is recorded in bench/fuzz_baseline.json — the fuzzing
       smoke campaign's committed report — so §16 can never document
-      observability the fleet stopped emitting.
+      observability the fleet stopped emitting;
+   6. every `lib/DIR` (`Mod`, ...) inventory entry and every `Lib.Mod`
+      reference in DESIGN.md names a compilation unit of that library,
+      or a module alias its main module declares.
 
    Run from the repository root (make check / make doc-check / the CI
    docs job): exits 1 listing every violation. *)
@@ -34,6 +37,19 @@ let read_file_exn what path =
     Printf.eprintf "doc_check: cannot read %s (%s) -- run from the repo root\n"
       path what;
     exit 2
+
+(* [f ()] at every match of [re] in [s], in order ([f] may read the
+   match's groups) *)
+let scan_with re s f =
+  let rec go i acc =
+    match Str.search_forward re s i with
+    | p -> go (p + 1) (f () :: acc)
+    | exception Not_found -> List.rev acc
+  in
+  go 0 []
+
+(* every match of [re] in [s], as its first group *)
+let scan re s = scan_with re s (fun () -> Str.matched_group 1 s)
 
 let contains hay needle =
   let n = String.length needle in
@@ -85,34 +101,20 @@ let check_flags () =
   (* the reverse direction: every `--flag` the manual names in backticks
      must exist in the CLI (long flags only; short aliases and grammar
      meta-syntax are too noisy to scrape) *)
-  let re = Str.regexp "`--\\([a-z][a-z-]*\\)" in
-  let i = ref 0 in
-  (try
-     while true do
-       let p = Str.search_forward re manual !i in
-       let f = Str.matched_group 1 manual in
-       if not (List.mem f flags) then
-         err "docs/MANUAL.md documents `--%s`, which no CLI command declares" f;
-       i := p + 1
-     done
-   with Not_found -> ())
+  List.iter
+    (fun f ->
+      if not (List.mem f flags) then
+        err "docs/MANUAL.md documents `--%s`, which no CLI command declares" f)
+    (scan (Str.regexp "`--\\([a-z][a-z-]*\\)") manual)
 
 (* --- 4. CLI verbs vs the manual -------------------------------------- *)
 
 (* scrape `Cmd.info "NAME"` subcommand declarations out of the CLI
    source (the group's own "redfat" info is not a verb) *)
 let cli_verbs src =
-  let re = Str.regexp "Cmd\\.info \"\\([a-z][a-z-]*\\)\"" in
-  let i = ref 0 and verbs = ref [] in
-  (try
-     while true do
-       let p = Str.search_forward re src !i in
-       let v = Str.matched_group 1 src in
-       if v <> "redfat" then verbs := v :: !verbs;
-       i := p + 1
-     done
-   with Not_found -> ());
-  List.sort_uniq compare !verbs
+  scan (Str.regexp "Cmd\\.info \"\\([a-z][a-z-]*\\)\"") src
+  |> List.filter (fun v -> v <> "redfat")
+  |> List.sort_uniq compare
 
 let check_verbs () =
   let src = read_file_exn "the CLI source" "bin/redfat_cli.ml" in
@@ -125,18 +127,12 @@ let check_verbs () =
       if not (contains manual (Printf.sprintf "### `redfat %s`" v)) then
         err "docs/MANUAL.md has no `### `redfat %s`` section" v)
     verbs;
-  let re = Str.regexp "### `redfat \\([a-z][a-z-]*\\)`" in
-  let i = ref 0 in
-  (try
-     while true do
-       let p = Str.search_forward re manual !i in
-       let v = Str.matched_group 1 manual in
-       if not (List.mem v verbs) then
-         err "docs/MANUAL.md documents `redfat %s`, which the CLI does not \
-              declare" v;
-       i := p + 1
-     done
-   with Not_found -> ())
+  List.iter
+    (fun v ->
+      if not (List.mem v verbs) then
+        err "docs/MANUAL.md documents `redfat %s`, which the CLI does not \
+             declare" v)
+    (scan (Str.regexp "### `redfat \\([a-z][a-z-]*\\)`") manual)
 
 (* --- 2. the fault-taxonomy table ------------------------------------- *)
 
@@ -226,17 +222,11 @@ let check_fuzz_counters () =
   let baseline =
     read_file_exn "the fuzzing smoke baseline" "bench/fuzz_baseline.json"
   in
-  let re = Str.regexp "`\\(fuzz\\.[a-z_]+\\)`" in
-  let i = ref 0 and seen = ref [] in
-  (try
-     while true do
-       let p = Str.search_forward re internals !i in
-       let c = Str.matched_group 1 internals in
-       if not (List.mem c !seen) then seen := c :: !seen;
-       i := p + 1
-     done
-   with Not_found -> ());
-  if !seen = [] then
+  let seen =
+    List.sort_uniq compare
+      (scan (Str.regexp "`\\(fuzz\\.[a-z_]+\\)`") internals)
+  in
+  if seen = [] then
     err "docs/INTERNALS.md names no `fuzz.*` counters (scraper broken, or \
          the fleet section dropped?)";
   List.iter
@@ -245,7 +235,69 @@ let check_fuzz_counters () =
         err
           "docs/INTERNALS.md names `%s`, which bench/fuzz_baseline.json does \
            not record -- the smoke campaign stopped emitting it" c)
-    (List.rev !seen)
+    seen
+
+(* --- 6. DESIGN.md module references vs the libraries ----------------- *)
+
+(* every library under lib/, as (OCaml module name, (dir, name)), from
+   the (name ...) field of its dune stanza *)
+let libraries () =
+  Sys.readdir "lib" |> Array.to_list |> List.sort compare
+  |> List.filter_map (fun d ->
+         let dir = Filename.concat "lib" d in
+         match read_file (Filename.concat dir "dune") with
+         | None -> None
+         | Some dune -> (
+           match scan (Str.regexp "(name \\([a-z0-9_]+\\)") dune with
+           | name :: _ -> Some (String.capitalize_ascii name, (dir, name))
+           | [] -> None))
+
+(* the modules a library exports: one per compilation unit, plus the
+   aliases its main module declares (lib/core's redfat.ml re-exports
+   [Rewrite], [Runtime], ...) *)
+let lib_modules (dir, name) =
+  let units =
+    Sys.readdir dir |> Array.to_list
+    |> List.filter (fun f ->
+           Filename.check_suffix f ".ml" || Filename.check_suffix f ".mli")
+    |> List.map (fun f -> String.capitalize_ascii (Filename.remove_extension f))
+  in
+  let aliases =
+    match read_file (Filename.concat dir (name ^ ".ml")) with
+    | None -> []
+    | Some src -> scan (Str.regexp "^module \\([A-Z][A-Za-z0-9_]*\\) =") src
+  in
+  units @ aliases
+
+let check_design_modules () =
+  let design = read_file_exn "the design doc" "DESIGN.md" in
+  let libs = libraries () in
+  if libs = [] then err "no libraries found under lib/ (scraper broken?)";
+  let resolve what lib m =
+    if not (List.mem m (lib_modules lib)) then
+      err "DESIGN.md names %s, but library %s has no module %s" what
+        (snd lib) m
+  in
+  (* `lib/DIR` (`Mod`, `Mod`) inventory entries *)
+  let entry = Str.regexp "`lib/\\([a-z0-9_]+\\)` (\\(`[^)]*\\))" in
+  scan_with entry design (fun () ->
+      ("lib/" ^ Str.matched_group 1 design, Str.matched_group 2 design))
+  |> List.iter (fun (dir, mods) ->
+         match List.find_opt (fun (_, (d, _)) -> d = dir) libs with
+         | None -> err "DESIGN.md names `%s`, which is no library" dir
+         | Some (_, lib) ->
+           List.iter
+             (fun m -> resolve (Printf.sprintf "`%s` (`%s`)" dir m) lib m)
+             (scan (Str.regexp "`\\([A-Z][A-Za-z0-9_]*\\)`") mods));
+  (* `Lib.Mod` references; a first component that is no library
+     (`Runtime.options`, `Rewrite.rewrite`) is a module path, skipped *)
+  let re = Str.regexp "`\\([A-Z][a-z0-9_]*\\)\\.\\([A-Z][A-Za-z0-9_]*\\)" in
+  scan_with re design (fun () ->
+      (Str.matched_group 1 design, Str.matched_group 2 design))
+  |> List.iter (fun (l, m) ->
+         match List.assoc_opt l libs with
+         | Some lib -> resolve (Printf.sprintf "`%s.%s`" l m) lib m
+         | None -> ())
 
 let () =
   check_flags ();
@@ -253,8 +305,11 @@ let () =
   check_taxonomy ();
   check_links ();
   check_fuzz_counters ();
+  check_design_modules ();
   match List.rev !errors with
-  | [] -> print_endline "doc_check: docs/MANUAL.md and markdown links are in sync"
+  | [] ->
+    print_endline
+      "doc_check: docs/MANUAL.md, DESIGN.md and markdown links are in sync"
   | es ->
     List.iter (fun e -> Printf.eprintf "doc_check: %s\n" e) es;
     Printf.eprintf "doc_check: %d problem(s)\n" (List.length es);
