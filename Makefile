@@ -7,10 +7,19 @@ EXAMPLE_EXES := $(patsubst examples/%.ml,_build/default/examples/%.exe,$(wildcar
 
 BENCH_DIFF := _build/default/tools/bench_diff.exe
 
-.PHONY: all build test check lint doc-check run-examples bench bench-json bench-gate \
-	bench-baseline bench-table2-gate serve-smoke bench-serve-gate \
-	bench-serve-baseline rebuild-smoke bench-rebuild-gate bench-rebuild-baseline \
-	fuzz-smoke bench-fuzz-gate bench-fuzz-baseline ci clean
+# the experiments whose --out report is diffed against a committed
+# bench/<exp>_baseline.json by tools/bench_diff
+GATES := table1 serve rebuild fuzz
+
+# every CI check, one matrix leg each; `make ci` runs the same list
+CI_TARGETS := build test lint doc-check run-examples bench-smoke \
+	pipeline-smoke fault-smoke serve-smoke rebuild-smoke fuzz-smoke \
+	bench-table2-gate $(GATES:%=gate-%)
+
+.PHONY: all build test check lint doc-check run-examples bench bench-json \
+	bench-smoke pipeline-smoke fault-smoke serve-smoke rebuild-smoke \
+	fuzz-smoke bench-table2-gate gate $(GATES:%=gate-%) \
+	$(GATES:%=baseline-%) ci ci-targets clean
 
 all: build
 
@@ -56,8 +65,7 @@ check:
 	$(MAKE) lint
 	$(MAKE) doc-check
 	$(MAKE) run-examples
-	dune build bench/main.exe
-	$(BENCH) fig4 --jobs 2
+	$(MAKE) bench-smoke
 
 bench: build
 	$(BENCH)
@@ -68,19 +76,27 @@ bench-json: build
 	$(BENCH) table1 --jobs 4 --out BENCH_table1.json
 	@echo "wrote BENCH_table1.json"
 
-# the bench-regression gate: regenerate Table 1 and diff it against
-# the committed baseline.  Cycle counts come from the deterministic VM
-# cost model, so any regression is a code change, not machine noise.
-# Fails on emitted-check-count increases or >10% cycle regressions.
-bench-gate: build
-	$(BENCH) table1 --jobs 2 --out BENCH_table1.json > /dev/null
-	$(BENCH_DIFF) bench/baseline.json BENCH_table1.json
+# the parallel-engine smoke: a bench figure fanned over 2 domains
+bench-smoke: build
+	$(BENCH) fig4 --jobs 2
 
-# after an INTENTIONAL hardening/cost change: refresh the baseline and
-# commit it together with the change that explains it
-bench-baseline: build
-	$(BENCH) table1 --jobs 2 --out bench/baseline.json > /dev/null
-	@echo "wrote bench/baseline.json -- commit it with the explaining change"
+# the regression gates: regenerate an experiment's report and diff it
+# against the committed baseline.  Cycle counts come from the
+# deterministic VM cost model, so any regression is a code change, not
+# machine noise.  tools/bench_diff fails on >10% cycle or overhead
+# regressions and on any counter moving against the direction its
+# report declares in "gates"; wall-clock facts are never gated.
+$(GATES:%=gate-%): gate-%: build
+	$(BENCH) $* --jobs 2 --out _build/BENCH_$*.json > /dev/null
+	$(BENCH_DIFF) bench/$*_baseline.json _build/BENCH_$*.json
+
+gate: $(GATES:%=gate-%)
+
+# after an INTENTIONAL hardening/cost/cache/fuzzing change: refresh a
+# baseline and commit it together with the change that explains it
+$(GATES:%=baseline-%): baseline-%: build
+	$(BENCH) $* --jobs 2 --out bench/$*_baseline.json > /dev/null
+	@echo "wrote bench/$*_baseline.json -- commit it with the explaining change"
 
 # the Table 2 / Table 2x gate: their stdout (detection counts per tool
 # and per check backend) is deterministic, so regenerate both and diff
@@ -90,6 +106,35 @@ bench-table2-gate: build
 	diff -u bench/table2.expected _build/table2.out
 	$(BENCH) table2x > _build/table2x.out
 	diff -u bench/table2x.expected _build/table2x.out
+
+# a pipeline run per backend: harden, audit and run a SPEC kernel plus
+# the temporal probes (the temporal backend reports the probes' memory
+# errors in Log mode), then the same with loop-aware check hoisting
+# (temporal declines widening and must still complete)
+pipeline-smoke: build
+	@set -e; for b in redzone lowfat temporal; do \
+	  $(REDFAT) pipeline spec:mcf uaf:CWE416_write-after-free_v0 \
+	    uaf:double-free --backend $$b --no-cache \
+	    --out _build/pipeline-smoke-$$b.json > /dev/null; \
+	  $(REDFAT) pipeline spec:mcf spec:bzip2 --hoist --backend $$b \
+	    --no-cache --out _build/hoist-smoke-$$b.json > /dev/null; \
+	  echo "backend $$b: pipeline smoke OK"; \
+	done
+
+# fault-injection smoke: fail the second rewrite of a four-target batch
+# under a sequential and a parallel engine; both must degrade the
+# faulting sites (rw.degrade.redzone > 0) and record identical
+# counters and faults
+fault-smoke: build
+	@set -e; for j in 1 4; do \
+	  $(REDFAT) pipeline synth:0 synth:1 synth:2 synth:3 --jobs $$j \
+	    --inject 'rewrite@1' --out _build/fault-smoke-$$j.json > /dev/null; \
+	  sed -n '/^  "counters"/p; /^  "faults"/,/^  ]/p' \
+	    _build/fault-smoke-$$j.json > _build/fault-smoke-$$j.out; \
+	  grep -Eq '"rw.degrade.redzone": [1-9]' _build/fault-smoke-$$j.out; \
+	done
+	diff -u _build/fault-smoke-1.out _build/fault-smoke-4.out
+	@echo "fault smoke OK"
 
 # serving-tier smoke: start the daemon on a Unix socket, drive a
 # scripted request mix through the client on every backend, assert a
@@ -115,19 +160,6 @@ serve-smoke: build
 	  echo "backend $$b: serve smoke OK"; \
 	done
 
-# the serving-tier regression gate: the Zipf traffic simulation through
-# the daemon's request path; gates the warm-phase hit rate
-# (serve.warm.hit_permille must not decrease) and the emitted-check
-# counters.  Throughput and latency are reported but never gated.
-bench-serve-gate: build
-	$(BENCH) serve --out BENCH_serve.json > /dev/null
-	$(BENCH_DIFF) bench/serve_baseline.json BENCH_serve.json
-
-# after an INTENTIONAL serving/cache change: refresh the fleet baseline
-bench-serve-baseline: build
-	$(BENCH) serve --out bench/serve_baseline.json > /dev/null
-	@echo "wrote bench/serve_baseline.json -- commit it with the explaining change"
-
 # incremental-reuse smoke: harden a small fleet cold, perturb one
 # function, re-harden.  Fails unless blueprints were shared on the
 # cold pass, >= 900 permille of per-function artifacts were reused,
@@ -136,18 +168,6 @@ bench-serve-baseline: build
 rebuild-smoke: build
 	$(BENCH) rebuild --benches perlbench,gcc,calculix --nights 1 \
 	  --min-reuse 900
-
-# the incremental-rebuild regression gate: the full 29-kernel nightly
-# scenario; gates rebuild.fns_reused_permille (may never decrease).
-# Wall-clock rebuild times are reported but never gated.
-bench-rebuild-gate: build
-	$(BENCH) rebuild --out BENCH_rebuild.json > /dev/null
-	$(BENCH_DIFF) bench/rebuild_baseline.json BENCH_rebuild.json
-
-# after an INTENTIONAL partition/cache-key change: refresh the baseline
-bench-rebuild-baseline: build
-	$(BENCH) rebuild --out bench/rebuild_baseline.json > /dev/null
-	@echo "wrote bench/rebuild_baseline.json -- commit it with the explaining change"
 
 # fuzzing-fleet smoke: a bounded deterministic campaign (fixed seed and
 # budget) over the seeded-bug suite on every backend, plus both parser
@@ -165,41 +185,13 @@ fuzz-smoke: build
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
 
-# the fuzzing regression gate: regenerate the smoke matrix through the
-# bench harness and diff it against the committed baseline; any
-# fuzz.unique_bugs decrease (a campaign stopped finding a seeded bug)
-# fails the build
-bench-fuzz-gate: build
-	$(BENCH) fuzz --jobs 2 --out BENCH_fuzz.json > /dev/null
-	$(BENCH_DIFF) bench/fuzz_baseline.json BENCH_fuzz.json
+# everything CI runs, in one local command
+ci: $(CI_TARGETS)
 
-# after an INTENTIONAL oracle/scheduler/mutator change: refresh the
-# fuzzing baseline and commit it with the change that explains it
-bench-fuzz-baseline: build
-	$(BENCH) fuzz --jobs 2 --out bench/fuzz_baseline.json > /dev/null
-	@echo "wrote bench/fuzz_baseline.json -- commit it with the explaining change"
-
-# everything CI runs, in one local command (mirrors .github/workflows/ci.yml)
-ci: build test lint doc-check run-examples
-	@set -e; for b in redzone lowfat temporal; do \
-	  $(REDFAT) pipeline spec:mcf uaf:CWE416_write-after-free_v0 \
-	    uaf:double-free --backend $$b --no-cache > /dev/null; \
-	  echo "backend $$b: pipeline smoke OK"; \
-	done
-	@set -e; for b in redzone lowfat temporal; do \
-	  $(REDFAT) pipeline spec:mcf spec:bzip2 --hoist --backend $$b \
-	    --no-cache > /dev/null; \
-	  echo "backend $$b: hoist pipeline smoke OK"; \
-	done
-	$(BENCH) fig4 --jobs 2
-	$(MAKE) bench-gate
-	$(MAKE) bench-table2-gate
-	$(MAKE) serve-smoke
-	$(MAKE) bench-serve-gate
-	$(MAKE) rebuild-smoke
-	$(MAKE) bench-rebuild-gate
-	$(MAKE) fuzz-smoke
-	$(MAKE) bench-fuzz-gate
+# CI_TARGETS as a JSON array: the CI workflow's matrix
+comma := ,
+ci-targets:
+	@echo '[$(subst " ","$(comma)",$(patsubst %,"%",$(CI_TARGETS)))]'
 
 clean:
 	dune clean

@@ -221,9 +221,9 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
       .stats
   in
   (* static check counts under the non-default backends (harden only,
-     no run): gated by tools/bench_diff per backend.* counter *)
+     no run): may never rise, like the default backend's *)
   let backend_counters =
-    List.concat_map
+    List.map
       (fun backend ->
         let st =
           (Pl.harden eng
@@ -231,10 +231,19 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
              bin)
             .stats
         in
-        [ ( "backend." ^ Backend.Check_backend.name backend
-            ^ ".checks_emitted",
-            st.Rw.checks_emitted ) ])
+        ( "backend." ^ Backend.Check_backend.name backend ^ ".checks_emitted",
+          Engine.Report.Lower,
+          st.Rw.checks_emitted ))
       [ Backend.Check_backend.Redzone; Backend.Check_backend.Temporal ]
+  in
+  (* emitted checks per variant may never rise; elisions, patch shapes
+     and degradations are informational *)
+  let by_kind =
+    List.map
+      (fun (k, v) ->
+        Engine.Report.
+          (k, (if String.starts_with ~prefix:"emit." k then Lower else Info), v))
+      opt_stats.Rw.checks_by_kind
   in
   target ("spec:" ^ b.name) ~cycles:base.cycles
     ~overheads:
@@ -243,13 +252,14 @@ let table1_row (b : Workloads.Spec.bench) : t1row =
         ("nosize", row.r_nosize); ("hoist", row.r_hoist);
         ("noreads", row.r_noreads); ("memcheck", row.r_memcheck) ]
     ~counters:
-      ([ ("checks_emitted", opt_stats.Rw.checks_emitted);
-         ("eliminated_global", opt_stats.Rw.eliminated_global);
-         ("zero_save_sites", opt_stats.Rw.zero_save_sites);
-         ("hoisted_checks", hoist_stats.Rw.hoisted_checks);
-         ("widened_span_bytes", hoist_stats.Rw.widened_span_bytes);
-         ("hoist.checks_emitted", hoist_stats.Rw.checks_emitted) ]
-      @ opt_stats.Rw.checks_by_kind @ backend_counters)
+      Engine.Report.(
+        [ ("checks_emitted", Lower, opt_stats.Rw.checks_emitted);
+          ("eliminated_global", Info, opt_stats.Rw.eliminated_global);
+          ("zero_save_sites", Info, opt_stats.Rw.zero_save_sites);
+          ("hoisted_checks", Higher, hoist_stats.Rw.hoisted_checks);
+          ("widened_span_bytes", Info, hoist_stats.Rw.widened_span_bytes);
+          ("hoist.checks_emitted", Lower, hoist_stats.Rw.checks_emitted) ]
+        @ by_kind @ backend_counters)
     t0;
   row
 
@@ -1082,19 +1092,20 @@ let serve () =
     st.Serve.Lru.hits st.misses st.coalesced st.admitted st.evictions st.bytes;
   target "serve:fleet"
     ~counters:
-      [
-        ("serve.requests", n + warm_n);
-        ("serve.warm.requests", warm_n);
-        ("serve.warm.hits", !warm_hits);
-        ("serve.warm.hit_permille", permille);
-        ("serve.failed", !cold_failed + !warm_failed);
-        ("checks_emitted", !checks);
-        ("serve.hot.admitted", st.admitted);
-        ("serve.hot.evictions", st.evictions);
-        ("serve.p50_us", int_of_float p50);
-        ("serve.p95_us", int_of_float p95);
-        ("serve.p99_us", int_of_float p99);
-        ("serve.throughput_rps", int_of_float rps);
+      Engine.Report.[
+        ("serve.requests", Info, n + warm_n);
+        ("serve.warm.requests", Info, warm_n);
+        ("serve.warm.hits", Info, !warm_hits);
+        ("serve.warm.hit_permille", Higher, permille);
+        ("serve.failed", Info, !cold_failed + !warm_failed);
+        ("checks_emitted", Lower, !checks);
+        ("serve.hot.admitted", Info, st.admitted);
+        ("serve.hot.evictions", Info, st.evictions);
+        (* wall-clock facts: reported, never gated *)
+        ("serve.p50_us", Info, int_of_float p50);
+        ("serve.p95_us", Info, int_of_float p95);
+        ("serve.p99_us", Info, int_of_float p99);
+        ("serve.throughput_rps", Info, int_of_float rps);
       ]
     t0
 
@@ -1305,15 +1316,15 @@ let rebuild () =
   end;
   target "rebuild:fleet"
     ~counters:
-      [
-        ("rebuild.nights", opt_nights);
-        ("rebuild.fns_total", fns_total);
-        ("rebuild.fns_reused_permille", !worst);
-        ("rebuild.blueprint_hits", counter "blueprint.hit");
-        ("rebuild.blueprint_unique", counter "blueprint.unique");
+      Engine.Report.[
+        ("rebuild.nights", Info, opt_nights);
+        ("rebuild.fns_total", Info, fns_total);
+        ("rebuild.fns_reused_permille", Higher, !worst);
+        ("rebuild.blueprint_hits", Info, counter "blueprint.hit");
+        ("rebuild.blueprint_unique", Info, counter "blueprint.unique");
         (* wall-clock facts: reported, never gated *)
-        ("rebuild.cold_ms", int_of_float (cold_s *. 1000.));
-        ("rebuild.warm_ms", int_of_float (!warm_last *. 1000.));
+        ("rebuild.cold_ms", Info, int_of_float (cold_s *. 1000.));
+        ("rebuild.warm_ms", Info, int_of_float (!warm_last *. 1000.));
       ]
     t0
 
@@ -1328,19 +1339,14 @@ let rebuild () =
 let fuzz () =
   hr "Fuzz: deterministic smoke campaigns (checks as the oracle)";
   let config = { Fuzz.Campaign.default_config with budget = 400; seed = 7 } in
-  let agg (reports : Fuzz.Campaign.report list) =
-    let total f = List.fold_left (fun a r -> a + f r) 0 reports in
-    [
-      ("fuzz.execs", total (fun (r : Fuzz.Campaign.report) -> r.r_execs));
-      ("fuzz.crashes", total (fun (r : Fuzz.Campaign.report) -> r.r_crashes));
-      ("fuzz.cov_edges", total (fun (r : Fuzz.Campaign.report) -> r.r_cov_edges));
-      ("fuzz.cov_sites", total (fun (r : Fuzz.Campaign.report) -> r.r_cov_sites));
-      ( "fuzz.corpus_entries",
-        total (fun (r : Fuzz.Campaign.report) -> r.r_corpus) );
-      ("fuzz.min_execs", total (fun (r : Fuzz.Campaign.report) -> r.r_min_execs));
-      ( "fuzz.unique_bugs",
-        total (fun (r : Fuzz.Campaign.report) -> List.length r.r_bugs) );
-    ]
+  (* the campaigns' counters summed per backend *)
+  let agg reports =
+    match List.map Fuzz.Campaign.counters reports with
+    | [] -> []
+    | c :: cs ->
+      List.fold_left
+        (List.map2 (fun (k, g, a) (_, _, b) -> (k, g, a + b)))
+        c cs
   in
   let show bname (r : Fuzz.Campaign.report) =
     pf "%-9s %-14s %6d %8d %6d %7d %5d\n" bname r.r_target r.r_execs r.r_crashes
@@ -1385,7 +1391,7 @@ let fuzz () =
   target "fuzz:parse" ~counters:(agg parse_reports) t0;
   pf "(deterministic for any --jobs: seed %d, budget %d per campaign;\n"
     config.seed config.budget;
-  pf " `make fuzz-gate` diffs the fuzz.* counters against \
+  pf " `make gate-fuzz` diffs the fuzz.* counters against \
       bench/fuzz_baseline.json)\n"
 
 (* ------------------------------------------------------------------ *)

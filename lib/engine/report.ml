@@ -1,8 +1,10 @@
+type gate = Lower | Higher | Info
+
 type target = {
   tg_name : string;
   tg_cycles : int option;
   tg_overheads : (string * float) list;
-  tg_counters : (string * int) list;
+  tg_counters : (string * gate * int) list;
   tg_wall : float;
 }
 
@@ -54,6 +56,26 @@ let targets t =
   let tgs = t.tgs in
   Mutex.unlock t.lock;
   List.sort (fun a b -> compare a.tg_name b.tg_name) tgs
+
+(* one declared direction per counter name across all targets; the
+   informational ones are not gates *)
+let gates t =
+  List.fold_left
+    (fun acc tg ->
+      List.fold_left
+        (fun acc (k, g, _) ->
+          match List.assoc_opt k acc with
+          | Some g' when g' <> g ->
+            invalid_arg ("Report: counter " ^ k ^ " declared with two gates")
+          | Some _ -> acc
+          | None -> (k, g) :: acc)
+        acc tg.tg_counters)
+    [] (targets t)
+  |> List.filter_map (function
+       | k, Lower -> Some (k, "lower")
+       | k, Higher -> Some (k, "higher")
+       | _, Info -> None)
+  |> List.sort compare
 
 let add_fault t (f : Fault.t) =
   Mutex.lock t.lock;
@@ -156,6 +178,13 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
       hs;
     add "  },\n"
   end;
+  (* the gated counters and the direction each may not move in; read by
+     tools/bench_diff from the baseline, omitted when nothing is gated *)
+  let gs = gates t in
+  if gs <> [] then
+    add "  \"gates\": { %s },\n"
+      (String.concat ", "
+         (List.map (fun (k, d) -> Printf.sprintf "%S: %S" (escape k) d) gs));
   add "  \"targets\": [\n";
   let tgs = targets t in
   List.iteri
@@ -182,7 +211,7 @@ let to_json ?cache ?(cache_enabled = true) ?(extra = []) t =
         add "%s"
           (String.concat ", "
              (List.map
-                (fun (k, v) -> Printf.sprintf "%S: %d" (escape k) v)
+                (fun (k, _, v) -> Printf.sprintf "%S: %d" (escape k) v)
                 tg.tg_counters));
         add " }"
       end;

@@ -27,21 +27,27 @@ val timed : t -> string -> (unit -> 'a) -> 'a
 val record : t -> string -> float -> unit
 (** Record an already-measured stage interval of [dt] seconds. *)
 
+(** How [bench_diff] gates a per-target counter against its baseline:
+    it may never rise ([Lower]: emitted checks), never fall ([Higher]:
+    hoisted checks, hit and reuse rates, found bugs), or is reported
+    and never gated ([Info]). *)
+type gate = Lower | Higher | Info
+
 type target = {
   tg_name : string;
   tg_cycles : int option;
       (** baseline cycles; [None] for synthetic targets with no
           baseline execution (the JSON field is omitted, not 0) *)
   tg_overheads : (string * float) list;  (** column -> slowdown ratio *)
-  tg_counters : (string * int) list;
+  tg_counters : (string * gate * int) list;
       (** named integer facts (e.g. [eliminated_global],
-          [zero_save_sites]) *)
+          [zero_save_sites]), each with its declared gate *)
   tg_wall : float;  (** seconds spent producing this target *)
 }
 
 val add_target :
   t -> name:string -> ?cycles:int -> ?overheads:(string * float) list ->
-  ?counters:(string * int) list -> wall:float -> unit -> unit
+  ?counters:(string * gate * int) list -> wall:float -> unit -> unit
 
 val targets : t -> target list
 (** Sorted by name (parallel recording order is nondeterministic). *)
@@ -67,6 +73,10 @@ val to_json :
   ?extra:(string * string) list -> t -> string
 (** The full report as a JSON object: experiment metadata ([extra],
     emitted as string fields), jobs, wall seconds, cache hit/miss
-    counters, per-stage timings, per-target records, and a ["faults"]
-    array of typed per-target fault records (empty on a clean run;
-    schema documented in docs/MANUAL.md). *)
+    counters, per-stage timings, a ["gates"] object mapping each
+    [Lower]/[Higher] counter to ["lower"]/["higher"] (omitted when no
+    counter is gated), per-target records, and a ["faults"] array of
+    typed per-target fault records (empty on a clean run; schema
+    documented in docs/MANUAL.md).
+    @raise Invalid_argument if two targets declare one counter with
+    different gates. *)

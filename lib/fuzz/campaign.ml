@@ -508,17 +508,19 @@ let reports_json (rs : report list) =
     (total (fun r -> List.length r.r_bugs))
     (String.concat ",\n" (List.map to_json rs))
 
-(** The per-campaign counters, in {!Engine.Report.add_target} shape. *)
+(** The per-campaign counters, in {!Engine.Report.add_target} shape:
+    a campaign that stops finding a seeded bug is a regression. *)
 let counters (r : report) =
-  [
-    ("fuzz.execs", r.r_execs);
-    ("fuzz.crashes", r.r_crashes);
-    ("fuzz.cov_edges", r.r_cov_edges);
-    ("fuzz.cov_sites", r.r_cov_sites);
-    ("fuzz.corpus_entries", r.r_corpus);
-    ("fuzz.min_execs", r.r_min_execs);
-    ("fuzz.unique_bugs", List.length r.r_bugs);
-  ]
+  Engine.Report.
+    [
+      ("fuzz.execs", Info, r.r_execs);
+      ("fuzz.crashes", Info, r.r_crashes);
+      ("fuzz.cov_edges", Info, r.r_cov_edges);
+      ("fuzz.cov_sites", Info, r.r_cov_sites);
+      ("fuzz.corpus_entries", Info, r.r_corpus);
+      ("fuzz.min_execs", Info, r.r_min_execs);
+      ("fuzz.unique_bugs", Higher, List.length r.r_bugs);
+    ]
 
 (** One human line per bug (CLI and bench matrix output). *)
 let bug_summary (b : bug) =

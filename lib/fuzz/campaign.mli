@@ -106,9 +106,10 @@ val to_json : report -> string
 val reports_json : report list -> string
 (** Several campaigns as one [--out] document (schema in the MANUAL). *)
 
-val counters : report -> (string * int) list
+val counters : report -> (string * Engine.Report.gate * int) list
 (** The per-campaign [fuzz.*] counters, in
-    {!Engine.Report.add_target} shape. *)
+    {!Engine.Report.add_target} shape; [fuzz.unique_bugs] is gated
+    [Higher], the rest are [Info]. *)
 
 val bug_summary : bug -> string
 (** One human line per bug. *)

@@ -29,4 +29,5 @@ let () =
       ("obs", Test_obs.tests);
       ("fault", Test_fault.tests);
       ("serve", Test_serve.tests);
+      ("bench-diff", Test_bench_diff.tests);
     ]

@@ -1,36 +1,29 @@
 (* bench_diff: the bench-regression gate.
 
-   Compares a freshly generated bench report (bench/main.exe table1
-   --out BENCH_table1.json) against the committed baseline
-   (bench/baseline.json) and fails when hardening quality regresses:
+   Compares a freshly generated bench report (bench/main.exe EXP
+   --out BENCH_EXP.json) against its committed baseline
+   (bench/EXP_baseline.json) and fails when:
 
      - a baseline target disappeared from the fresh report;
      - a target's deterministic baseline cycle count grew by more
        than the threshold (default 10%);
      - any overhead ratio (unopt/elim/batch/merge/...) grew by more
        than the threshold;
-     - the emitted-check counters went up: checks_emitted, any
-       per-check-kind emit.* counter, any per-backend backend.*
-       counter, or hoist.checks_emitted (more emitted checks means
-       the eliminators lost ground, under any backend or with loop
-       hoisting enabled);
-     - the hoisted_checks counter went down (the loop hoister proved
-       fewer loops than before: lost static-analysis ground);
-     - any *hit_permille counter went down (a cache tier -- e.g. the
-       serving hot tier's warm-phase hit rate -- lost ground);
-     - any *reused_permille counter went down (the function-granular
-       incremental rebuild reused fewer per-function artifacts: the
-       partition or cache keys lost precision);
-     - any *unique_bugs counter went down (a fuzz smoke campaign
-       stopped finding a seeded bug it used to find: the oracle,
-       scheduler or mutators regressed).
+     - a counter the baseline's "gates" object declares "lower" went
+       up, or one it declares "higher" went down;
+     - a baseline gate is absent from (or changed direction in) the
+       fresh report's "gates", or a gated counter a baseline target
+       carries is missing from the fresh target -- dropping a
+       declaration fails until the baseline is regenerated on purpose.
 
+   The gates are declared where each counter is recorded
+   (Engine.Report.add_target), so this tool knows no counter names.
    New targets and improvements are fine.  wall_seconds is ignored
    everywhere: it is the only machine-dependent field; cycles come
    from the deterministic VM cost model.
 
    Re-baselining after an intentional change:
-     make bench-baseline   # regenerates bench/baseline.json
+     make baseline-EXP   # regenerates bench/EXP_baseline.json
    then commit the new baseline together with the change that
    explains it.
 
@@ -108,11 +101,21 @@ let check_ratio ~target ~what ~base ~fresh =
     fail "%s: %s regressed %.1f%% (%.4g -> %.4g, threshold %.0f%%)" target
       what (pct_over fresh base) base fresh max_regress
 
-let has_suffix s suf =
-  let ls = String.length s and lf = String.length suf in
-  ls >= lf && String.sub s (ls - lf) lf = suf
+(* the report's declared gates: counter -> the direction it may not
+   move in, "lower" or "higher" *)
+let gates path v : (string * string) list =
+  match J.member "gates" v with
+  | None -> []
+  | Some (J.Obj kvs) ->
+    List.map
+      (fun (k, d) ->
+        match J.to_str d with
+        | Some (("lower" | "higher") as d) -> (k, d)
+        | _ -> die "%s: gate %s: expected \"lower\" or \"higher\"" path k)
+      kvs
+  | Some _ -> die "%s: \"gates\" is not an object" path
 
-let check_target name base fresh =
+let check_target gates name base fresh =
   (match (num_field "baseline_cycles" base, num_field "baseline_cycles" fresh)
    with
   | Some b, Some f ->
@@ -124,48 +127,35 @@ let check_target name base fresh =
       | Some f -> check_ratio ~target:name ~what:("overhead " ^ k) ~base:b ~fresh:f
       | None -> fail "%s: overhead %s missing from fresh report" name k)
     (table "overheads" base);
-  (* emitted-check counters must never increase: the static hardening
-     quality gate *)
   let fresh_counters = table "counters" fresh in
   List.iter
     (fun (k, b) ->
-      let gated =
-        k = "checks_emitted" || k = "hoist.checks_emitted"
-        || (String.length k >= 5 && String.sub k 0 5 = "emit.")
-        || (String.length k >= 8 && String.sub k 0 8 = "backend.")
-      in
-      if gated then
-        match List.assoc_opt k fresh_counters with
-        | Some f when f > b ->
-          fail "%s: counter %s increased (%.0f -> %.0f)" name k b f
-        | Some _ -> ()
-        | None -> fail "%s: counter %s missing from fresh report" name k
-      (* hoisted checks, hit rates, reuse rates and found bugs are
-         gains: losing some means the hoister stopped proving loops it
-         used to prove, a cache tier stopped hitting (or reusing)
-         where it used to, or a fuzz campaign stopped finding a seeded
-         bug it used to find *)
-      else if
-        k = "hoisted_checks"
-        || has_suffix k "hit_permille"
-        || has_suffix k "reused_permille"
-        || has_suffix k "unique_bugs"
-      then
-        match List.assoc_opt k fresh_counters with
-        | Some f when f < b ->
-          fail "%s: counter %s decreased (%.0f -> %.0f)" name k b f
-        | Some _ -> ()
-        | None -> fail "%s: counter %s missing from fresh report" name k)
+      match (List.assoc_opt k gates, List.assoc_opt k fresh_counters) with
+      | None, _ -> ()
+      | Some _, None -> fail "%s: counter %s missing from fresh report" name k
+      | Some "lower", Some f when f > b ->
+        fail "%s: counter %s increased (%.0f -> %.0f)" name k b f
+      | Some "higher", Some f when f < b ->
+        fail "%s: counter %s decreased (%.0f -> %.0f)" name k b f
+      | Some _, Some _ -> ())
     (table "counters" base)
 
 let () =
   let base = load baseline_path and fresh = load fresh_path in
   let base_t = targets base and fresh_t = targets fresh in
   if base_t = [] then die "%s: no targets" baseline_path;
+  let base_g = gates baseline_path base and fresh_g = gates fresh_path fresh in
+  List.iter
+    (fun (k, d) ->
+      match List.assoc_opt k fresh_g with
+      | Some d' when d' = d -> ()
+      | Some d' -> fail "gate %s changed direction (%s -> %s)" k d d'
+      | None -> fail "gate %s missing from fresh report" k)
+    base_g;
   List.iter
     (fun (name, bt) ->
       match List.assoc_opt name fresh_t with
-      | Some ft -> check_target name bt ft
+      | Some ft -> check_target base_g name bt ft
       | None -> fail "%s: missing from fresh report" name)
     base_t;
   List.iter
@@ -174,12 +164,12 @@ let () =
         Printf.printf "note: new target %s (not in baseline)\n" name)
     fresh_t;
   if !failures = 0 then
-    Printf.printf "bench-gate OK: %d targets within %.0f%% of %s\n"
-      (List.length base_t) max_regress baseline_path
+    Printf.printf "bench_diff OK: %d targets, %d gates, within %.0f%% of %s\n"
+      (List.length base_t) (List.length base_g) max_regress baseline_path
   else begin
     Printf.printf
-      "bench-gate: %d failure(s) vs %s\n\
-       (intentional change?  re-baseline with: make bench-baseline)\n"
+      "bench_diff: %d failure(s) vs %s\n\
+       (intentional change?  re-baseline with: make baseline-EXP)\n"
       !failures baseline_path;
     exit 1
   end
