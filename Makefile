@@ -14,11 +14,14 @@ GATES := table1 serve rebuild fuzz
 # every CI check, one matrix leg each; `make ci` runs the same list
 CI_TARGETS := build test lint doc-check run-examples bench-smoke \
 	pipeline-smoke fault-smoke serve-smoke rebuild-smoke fuzz-smoke \
-	bench-table2-gate $(GATES:%=gate-%)
+	perf-smoke bench-table2-gate $(GATES:%=gate-%)
+
+# the workloads of the repo benchmark (BENCHMARK.json, perfbench/)
+PERF_WORKLOADS := table1-ref fuzz-short serve-mixed
 
 .PHONY: all build test check lint doc-check run-examples bench bench-json \
 	bench-smoke pipeline-smoke fault-smoke serve-smoke rebuild-smoke \
-	fuzz-smoke bench-table2-gate gate $(GATES:%=gate-%) \
+	fuzz-smoke perf-smoke bench-table2-gate gate $(GATES:%=gate-%) \
 	$(GATES:%=baseline-%) ci ci-targets clean
 
 all: build
@@ -184,6 +187,20 @@ fuzz-smoke: build
 	$(REDFAT) fuzz relf minic --mode parse --budget 400 --seed 7 \
 	  --expect-bugs 2 --out _build/fuzz-smoke-parse.json > /dev/null
 	@echo "parser campaigns: fuzz smoke OK"
+
+# benchmark smoke: one traced second of every perfbench workload.  The
+# traced pass replays each layer from its public parts (Redfat.prepare,
+# Vm.Cpu.create, the trap table, Memcheck.install) and compares the
+# replay with the engine's own run; fails unless the report's last
+# line says it is correct and no operation failed
+perf-smoke: build
+	@set -e; for w in $(PERF_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 \
+	    --trace 1 > _build/perf-smoke-$$w.out; \
+	  tail -n 1 _build/perf-smoke-$$w.out | grep -q '"correct": true,'; \
+	  tail -n 1 _build/perf-smoke-$$w.out | grep -q '"failed": 0,'; \
+	  echo "$$w: perf smoke OK"; \
+	done
 
 # everything CI runs, in one local command
 ci: $(CI_TARGETS)

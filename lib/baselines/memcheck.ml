@@ -131,7 +131,8 @@ let install (t : t) (cpu : Vm.Cpu.t) (binary : Binfmt.Relf.t) :
   Binfmt.Relf.load_into cpu.mem binary;
   List.iter
     (fun (s : Binfmt.Relf.section) ->
-      mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
+      if Binfmt.Relf.loadable s then
+        mark t ~addr:s.addr ~len:(String.length s.bytes) ~accessible:true)
     binary.sections;
   Vm.Mem.map cpu.mem ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size;
   mark t ~addr:Lowfat.Layout.stack_lo ~len:Lowfat.Layout.stack_size

@@ -119,9 +119,45 @@ let load_file path =
 
 (* --- loading into a VM --------------------------------------------- *)
 
-(** Map all sections into memory (an exec-style loader). *)
+(* A section at address 0 is file-only metadata ([.elimtab],
+   [.traptab]), like a non-alloc ELF section: never mapped, so page 0
+   stays unmapped and a NULL access faults in every binary. *)
+let loadable s = s.addr <> 0
+
+(* One decoded-instruction table per executable section and domain,
+   shared by every run that loads the section.  Keyed by the section's
+   physical identity through an ephemeron, so a dropped binary takes
+   its tables with it. *)
+module Code_memo = Ephemeron.K1.Make (struct
+  type t = section
+
+  let equal = ( == )
+  let hash s = Hashtbl.hash s.addr lxor String.length s.bytes
+end)
+
+let code_memo : Vm.Code.t Code_memo.t Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> Code_memo.create 16)
+
+let code_table s =
+  let memo = Domain.DLS.get code_memo in
+  match Code_memo.find_opt memo s with
+  | Some c -> c
+  | None ->
+    let c = Vm.Code.create ~base:s.addr ~size:(String.length s.bytes) in
+    Code_memo.replace memo s c;
+    c
+
+(** Map the loadable sections into memory (an exec-style loader) and
+    attach each executable one's decoded-instruction table, which
+    makes it read-only. *)
 let load_into (mem : Vm.Mem.t) (t : t) : unit =
-  List.iter (fun s -> Vm.Mem.write_string mem ~addr:s.addr s.bytes) t.sections
+  List.iter
+    (fun s ->
+      if loadable s then begin
+        Vm.Mem.write_string mem ~addr:s.addr s.bytes;
+        if s.executable then Vm.Mem.add_code mem (code_table s)
+      end)
+    t.sections
 
 (** Disassemble the text section (for the CLI and debugging). *)
 let disasm t =

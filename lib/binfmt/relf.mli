@@ -43,8 +43,20 @@ val parse : string -> t
 val save : string -> t -> unit
 val load_file : string -> t
 
+val loadable : section -> bool
+(** Whether the loader maps the section: every section but the
+    file-only metadata at address 0 ([.elimtab], [.traptab]). *)
+
 val load_into : Vm.Mem.t -> t -> unit
-(** Map all sections into memory (an exec-style loader). *)
+(** Map the loadable sections into memory (an exec-style loader).
+    Each executable section gets its {!code_table} attached and is
+    read-only from then on. *)
+
+val code_table : section -> Vm.Code.t
+(** The section's decoded-instruction table on the calling domain:
+    made on first use, then shared by every run that loads this
+    section (physically the same value) on that domain, and collected
+    with the section. *)
 
 val disasm : t -> string
 (** Disassembly of the text section. *)

@@ -6,7 +6,6 @@ type t = {
   rep : Report.t;
   strict : bool;
   inject : Faultinject.t;
-  mutable closed : bool;
 }
 
 let create ?(jobs = 1) ?(cache = true) ?cache_dir ?(strict = false)
@@ -23,18 +22,12 @@ let create ?(jobs = 1) ?(cache = true) ?cache_dir ?(strict = false)
       rep;
       strict;
       inject;
-      closed = false;
     }
   in
   Report.set_jobs t.rep (max 1 jobs);
-  at_exit (fun () -> if not t.closed then Pool.close t.pool);
   t
 
-let close t =
-  if not t.closed then begin
-    t.closed <- true;
-    Pool.close t.pool
-  end
+let close t = Pool.close t.pool
 
 let jobs t = Pool.jobs t.pool
 let report t = t.rep

@@ -25,7 +25,9 @@ val create :
     artifacts. *)
 
 val close : t -> unit
-(** Join the worker domains.  Also registered [at_exit]; idempotent. *)
+(** Join the worker domains; idempotent.  An engine left open is
+    closed at exit (see {!Pool.close}); a closed or never-parallel one
+    is referenced by nothing global and is collected once dropped. *)
 
 val jobs : t -> int
 val report : t -> Report.t

@@ -110,10 +110,17 @@ let worker t w () =
   in
   loop ()
 
+(* The pools whose worker domains are running.  They are joined at
+   exit; [close] takes a pool out, so nothing global refers to a closed
+   pool (or to the collector it records into). *)
+let running : t list ref = ref []
+let running_lock = Mutex.create ()
+
 let ensure_started t =
   if not t.started then begin
     t.started <- true;
-    t.domains <- List.init t.n (fun w -> Domain.spawn (worker t w))
+    t.domains <- List.init t.n (fun w -> Domain.spawn (worker t w));
+    Mutex.protect running_lock (fun () -> running := t :: !running)
   end
 
 let map t f tasks =
@@ -197,4 +204,10 @@ let close t =
   let ds = t.domains in
   t.domains <- [];
   Mutex.unlock t.lock;
+  Mutex.protect running_lock (fun () ->
+      running := List.filter (fun p -> p != t) !running);
   List.iter Domain.join ds
+
+let () =
+  at_exit (fun () ->
+      List.iter close (Mutex.protect running_lock (fun () -> !running)))

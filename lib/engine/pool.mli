@@ -39,4 +39,6 @@ val map_result : t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
 
 val close : t -> unit
 (** Join all worker domains.  Idempotent; the pool is unusable for
-    parallel batches afterwards (maps fall back to sequential). *)
+    parallel batches afterwards (maps fall back to sequential).  A
+    pool whose workers were started and that is still open at exit is
+    closed then; a closed pool is referenced by nothing global. *)

@@ -76,19 +76,21 @@ let sorted_keys h = List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) h
    binary itself records, collecting edge/site coverage and the
    oracle's verdict.  [mode] is the runtime's: [Harden] makes a failed
    check a crash, [Log] (the profiling phase's) records it and runs
-   on.  Pure per call (fresh VM and runtime), so executions fan out
-   over domains safely. *)
+   on.  The per-binary constants (backend, trap table) are read once,
+   when [execute_in] is applied to the binary; each execution then
+   gets a fresh VM and runtime, so executions fan out over domains
+   safely. *)
 let execute_in ~mode ?(max_steps = default_config.max_steps)
-    (binary : Binfmt.Relf.t) (inputs : int list) : exec_result =
-  let cpu = Redfat.prepare ~max_steps binary in
-  cpu.inputs <- inputs;
-  List.iter
-    (fun (a, t) -> Hashtbl.replace cpu.trap_table a t)
-    (Redfat.Rewrite.traps_of_binary binary);
+    (binary : Binfmt.Relf.t) : int list -> exec_result =
+  let traps = Redfat.Rewrite.traps_of_binary binary in
   let options =
     { Runtime.default_options with
       backend = Redfat.backend_of_binary binary; mode }
   in
+  fun inputs ->
+  let cpu = Redfat.prepare ~max_steps binary in
+  cpu.inputs <- inputs;
+  List.iter (fun (a, t) -> Hashtbl.replace cpu.trap_table a t) traps;
   let rt = Runtime.create ~options cpu.mem in
   let vmrt = Runtime.install rt cpu in
   let edges = Hashtbl.create 64 and sites = Hashtbl.create 64 in
@@ -146,8 +148,7 @@ let execute_in ~mode ?(max_steps = default_config.max_steps)
     x_cycles = cpu.cycles;
   }
 
-let execute ?max_steps binary inputs =
-  execute_in ~mode:Runtime.Harden ?max_steps binary inputs
+let execute ?max_steps binary = execute_in ~mode:Runtime.Harden ?max_steps binary
 
 (* --- the generic campaign loop -------------------------------------- *)
 

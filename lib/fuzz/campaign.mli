@@ -50,8 +50,11 @@ type exec_result = {
 val execute :
   ?max_steps:int -> Binfmt.Relf.t -> int list -> exec_result
 (** One execution of a hardened binary under the backend it records,
-    with AFL edge/site coverage and the oracle's verdict.  Pure per
-    call, so executions fan out over domains safely. *)
+    with AFL edge/site coverage and the oracle's verdict.  Applied to
+    the binary alone, it reads the binary's backend and trap table
+    once and returns the function that runs one execution; that
+    function is pure per call, so executions fan out over domains
+    safely. *)
 
 val run_exec :
   Engine.Pipeline.t ->

@@ -26,8 +26,10 @@ type hbuf = {
 }
 
 (* One buffer per (collector, domain): mutated only by its owning
-   domain, so recording takes no lock.  The registry list is the only
-   shared state, appended under [reg] once per domain. *)
+   domain, so recording takes no lock.  The collector's list of buffers
+   is the only shared state, extended by compare-and-set once per
+   domain.  Nothing else refers to a buffer, so a dropped collector
+   frees them all. *)
 type buf = {
   b_tid : int;
   mutable b_spans : span list; (* newest first *)
@@ -38,40 +40,43 @@ type buf = {
 
 type t = {
   t0 : float;
-  key : buf option ref Domain.DLS.key;
-  reg : Mutex.t;
-  mutable bufs : buf list;
+  bufs : buf list Atomic.t; (* one per recording domain, newest first *)
 }
 
 let now () = Unix.gettimeofday ()
 
-let create () =
+let create () = { t0 = now (); bufs = Atomic.make [] }
+
+let rec register t b =
+  let bs = Atomic.get t.bufs in
+  if not (Atomic.compare_and_set t.bufs bs (b :: bs)) then register t b
+
+let new_buf tid =
   {
-    t0 = now ();
-    key = Domain.DLS.new_key (fun () -> ref None);
-    reg = Mutex.create ();
-    bufs = [];
+    b_tid = tid;
+    b_spans = [];
+    b_counters = Hashtbl.create 16;
+    b_hists = Hashtbl.create 8;
+    b_depth = 0;
   }
 
+let no_buf = new_buf (-1)
+
+let rec find_buf tid = function
+  | b :: rest -> if b.b_tid = tid then b else find_buf tid rest
+  | [] -> no_buf
+
+(* Domain ids are never reused, so the buffer found by id is the
+   calling domain's own. *)
 let buf t =
-  let slot = Domain.DLS.get t.key in
-  match !slot with
-  | Some b -> b
-  | None ->
-    let b =
-      {
-        b_tid = (Domain.self () :> int);
-        b_spans = [];
-        b_counters = Hashtbl.create 16;
-        b_hists = Hashtbl.create 8;
-        b_depth = 0;
-      }
-    in
-    slot := Some b;
-    Mutex.lock t.reg;
-    t.bufs <- b :: t.bufs;
-    Mutex.unlock t.reg;
+  let tid = (Domain.self () :> int) in
+  let b = find_buf tid (Atomic.get t.bufs) in
+  if b != no_buf then b
+  else begin
+    let b = new_buf tid in
+    register t b;
     b
+  end
 
 (* --- recording ------------------------------------------------------- *)
 
@@ -143,11 +148,7 @@ let observe t name v =
 
 (* --- merged read side ------------------------------------------------ *)
 
-let all_bufs t =
-  Mutex.lock t.reg;
-  let bs = t.bufs in
-  Mutex.unlock t.reg;
-  bs
+let all_bufs t = Atomic.get t.bufs
 
 let counters t =
   let merged = Hashtbl.create 32 in

@@ -9,11 +9,12 @@
 
     Costs: 1 cycle per instruction, +1 per explicit memory access,
     multiplies 3, divides 8, +1 per taken control transfer and +2 more
-    when the transfer is "far" (> 64 KiB away, modelling the icache
-    locality loss that motivates the paper's batching optimization),
-    +10 for a trap-table fallback patch.  Checks are charged by the
-    [on_check] hook (the redfat runtime returns the micro-op count of
-    the corresponding assembly sequence). *)
+    when the transfer is "far" (> 64 KiB away, modelling the
+    instruction-cache locality loss that motivates the paper's
+    batching optimization), +10 for a trap-table fallback patch.
+    Checks are charged by the [on_check] hook (the redfat runtime
+    returns the micro-op count of the corresponding assembly
+    sequence). *)
 
 exception Halt
 exception Div_by_zero of int
@@ -86,7 +87,10 @@ type t = {
       pointers dereference transparently.  [Lea] stays unmasked: it
       computes pointer values, and masking there would strip tags. *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
-  icache : (int, X64.Isa.instr * int) Hashtbl.t;
+  mutable code : Code.t;  (** the table [rip] was last fetched from *)
+  mutable page_code : Code.t list;
+  (** this run's tables for code outside every loaded executable
+      section, one per page, made on first fetch *)
   (* scripted I/O *)
   mutable inputs : int list;
   mutable outputs : int list;  (** reverse order *)
@@ -111,7 +115,8 @@ let create ?(max_steps = 200_000_000) () =
     acct = None;
     addr_mask = -1;
     trap_table = Hashtbl.create 64;
-    icache = Hashtbl.create 256;
+    code = Code.none;
+    page_code = [];
     inputs = [];
     outputs = [];
     mem_reads = 0;
@@ -132,17 +137,61 @@ let ea t (m : X64.Isa.mem) =
    installed an addr_mask) *)
 let ea_data t m = ea t m land t.addr_mask
 
-let fetch t addr =
-  match Hashtbl.find_opt t.icache addr with
-  | Some v -> v
-  | None ->
-    let raw = Mem.read_string t.mem ~addr ~len:40 in
-    if raw = "" then raise (Mem.Segfault addr);
-    let v = X64.Decode.decode ~addr raw 0 in
-    Hashtbl.add t.icache addr v;
-    v
+(* --- instruction fetch ----------------------------------------------- *)
+
+let rec find_code addr = function
+  | [] -> Code.none
+  | c :: rest -> if Code.contains c addr then c else find_code addr rest
+
+(* The table covering [addr]: a loaded executable section's (shared by
+   every run of the binary on this domain), else this run's table for
+   the page of [addr]. *)
+let table_for t addr =
+  let c = find_code addr (Mem.code t.mem) in
+  if c != Code.none then c
+  else
+    let c = find_code addr t.page_code in
+    if c != Code.none then c
+    else begin
+      let c =
+        Code.create ~base:(addr land lnot (Mem.page_size - 1)) ~size:Mem.page_size
+      in
+      t.page_code <- c :: t.page_code;
+      c
+    end
+
+(* Fill a slot: decode from memory, and keep the result only when the
+   whole instruction lies inside the table's range, so a slot depends
+   on nothing but the range's (read-only) bytes.  A failed decode
+   leaves the slot empty and fails again on the next fetch. *)
+let decode t (c : Code.t) addr =
+  let raw = Mem.read_string t.mem ~addr ~len:40 in
+  if raw = "" then raise (Mem.Segfault addr);
+  let ins, len = X64.Decode.decode ~addr raw 0 in
+  let e = { Code.ins; len } in
+  if addr - c.base + len <= c.size then c.slots.(addr - c.base) <- e;
+  e
+
+(* the instruction at [rip]: one range test and one array read once
+   its slot is filled *)
+let fetch t =
+  let addr = t.rip in
+  let c =
+    if Code.contains t.code addr then t.code
+    else begin
+      let c = table_for t addr in
+      t.code <- c;
+      c
+    end
+  in
+  let e = Array.unsafe_get c.slots (addr - c.base) in
+  if e.len > 0 then e else decode t c addr
 
 let far_jump_penalty t target = if abs (target - t.rip) > 0x1_0000 then 2 else 0
+
+let jump_to t target =
+  t.cycles <- t.cycles + 1 + far_jump_penalty t target;
+  t.rip <- target
 
 let mem_access t addr len write =
   (match t.on_mem with
@@ -178,16 +227,12 @@ type runtime = {
 (** Execute one instruction; raises {!Halt} on hlt or final ret. *)
 let step t (rt : runtime) =
   if t.steps >= t.max_steps then raise (Timeout t.steps);
-  let i, len = fetch t t.rip in
+  let e = fetch t in
   t.steps <- t.steps + 1;
   t.cycles <- t.cycles + 1 + t.dispatch_cost;
-  let next = t.rip + len in
-  let jump_to target =
-    t.cycles <- t.cycles + 1 + far_jump_penalty t target;
-    t.rip <- target
-  in
+  let next = t.rip + e.len in
   let open X64.Isa in
-  match i with
+  match e.ins with
   | Mov_rr (d, s) ->
     t.regs.(d) <- t.regs.(s);
     t.rip <- next
@@ -286,29 +331,29 @@ let step t (rt : runtime) =
   | Setcc (cc, r) ->
     t.regs.(r) <- (if eval_cc t cc then 1 else 0);
     t.rip <- next
-  | Jmp target -> jump_to target
+  | Jmp target -> jump_to t target
   | Jcc (cc, target) ->
-    if eval_cc t cc then jump_to target else t.rip <- next
+    if eval_cc t cc then jump_to t target else t.rip <- next
   | Call target ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;
     Mem.write t.mem ~addr:t.regs.(rsp) ~len:8 next;
-    jump_to target
+    jump_to t target
   | Call_ind r ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;
     Mem.write t.mem ~addr:t.regs.(rsp) ~len:8 next;
     t.cycles <- t.cycles + 1; (* indirect-branch prediction cost *)
-    jump_to t.regs.(r)
+    jump_to t t.regs.(r)
   | Jmp_ind r ->
     t.cycles <- t.cycles + 1;
-    jump_to t.regs.(r)
+    jump_to t t.regs.(r)
   | Ret ->
     mem_access t t.regs.(rsp) 8 false;
     let target = Mem.read t.mem ~addr:t.regs.(rsp) ~len:8 in
     t.regs.(rsp) <- t.regs.(rsp) + 8;
     if target = halt_sentinel then raise Halt;
-    jump_to target
+    jump_to t target
   | Push r ->
     t.regs.(rsp) <- t.regs.(rsp) - 8;
     mem_access t t.regs.(rsp) 8 true;

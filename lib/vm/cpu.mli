@@ -62,7 +62,10 @@ type t = {
           (temporal lock-and-key) installs one.  [Lea] is exempt: it
           computes pointer {e values}, which must keep their tags *)
   trap_table : (int, int) Hashtbl.t;  (** patch address -> trampoline *)
-  icache : (int, X64.Isa.instr * int) Hashtbl.t;
+  mutable code : Code.t;  (** the table [rip] was last fetched from *)
+  mutable page_code : Code.t list;
+      (** this run's tables for code outside every loaded executable
+          section ({!Mem.code}), one per page, made on first fetch *)
   mutable inputs : int list;          (** script for the Input runtime fn *)
   mutable outputs : int list;         (** Print results, reverse order *)
   mutable mem_reads : int;
@@ -89,7 +92,10 @@ type runtime = {
 }
 
 val step : t -> runtime -> unit
-(** Execute one instruction; raises {!Halt} on hlt or final ret. *)
+(** Execute one instruction; raises {!Halt} on hlt or final ret.
+    The instruction comes from the {!Code} table covering [rip],
+    decoded on its first fetch; an undecodable byte raises
+    {!X64.Decode.Decode_error} on every fetch. *)
 
 val run : t -> runtime -> entry:int -> int
 (** Run from [entry] until the program halts; returns the exit code

@@ -12,15 +12,21 @@ let page_bits = 12
 let page_size = 1 lsl page_bits
 
 module Imap = Map.Make (Int)
+module Itbl = Hashtbl.Make (Int)
 
 type t = {
-  pages : (int, Bytes.t) Hashtbl.t;     (* materialized pages *)
+  pages : Bytes.t Itbl.t;     (* materialized pages *)
   mutable reserved : int Imap.t;
   (* every mapped page, materialized or not, as disjoint and
      non-adjacent intervals first -> last *)
   (* one-entry cache: page lookups dominate the interpreter profile *)
   mutable last_page_no : int;
   mutable last_page : Bytes.t;
+  (* the same for stores, holding only a page no code range touches *)
+  mutable last_wpage_no : int;
+  mutable last_wpage : Bytes.t;
+  mutable code : Code.t list;
+  (* the loaded executable sections: read-only, decoded once *)
 }
 
 let none = Bytes.create 0
@@ -29,10 +35,13 @@ let none = Bytes.create 0
    pages, and the table grows as needed *)
 let create () =
   {
-    pages = Hashtbl.create 64;
+    pages = Itbl.create 64;
     reserved = Imap.empty;
     last_page_no = -1;
     last_page = none;
+    last_wpage_no = -1;
+    last_wpage = none;
+    code = [];
   }
 
 (* is page [no] inside a reserved interval? *)
@@ -49,15 +58,16 @@ let page_of t addr =
   let no = addr lsr page_bits in
   if no = t.last_page_no then t.last_page
   else
-    match Hashtbl.find_opt t.pages no with
-    | Some p ->
+    (* [find], not [find_opt]: a lookup allocates nothing *)
+    match Itbl.find t.pages no with
+    | p ->
       t.last_page_no <- no;
       t.last_page <- p;
       p
-    | None ->
+    | exception Not_found ->
       if reserved t no then begin
         let p = Bytes.make page_size '\000' in
-        Hashtbl.add t.pages no p;
+        Itbl.add t.pages no p;
         t.last_page_no <- no;
         t.last_page <- p;
         p
@@ -105,11 +115,53 @@ let unmap t ~addr ~len =
       | _ -> ()
     in
     cut ();
-    Hashtbl.filter_map_inplace
+    Itbl.filter_map_inplace
       (fun no p -> if no >= first && no <= last then None else Some p)
       t.pages;
     if t.last_page_no >= first && t.last_page_no <= last then
-      t.last_page_no <- -1
+      t.last_page_no <- -1;
+    if t.last_wpage_no >= first && t.last_wpage_no <= last then
+      t.last_wpage_no <- -1;
+    let lo = first lsl page_bits and hi = (last + 1) lsl page_bits in
+    t.code <-
+      List.filter
+        (fun (c : Code.t) -> c.base + c.size <= lo || c.base >= hi)
+        t.code
+  end
+
+(** Attach a loaded executable section's decoded-instruction table:
+    its bytes become read-only. *)
+let add_code t (c : Code.t) =
+  t.code <- c :: t.code;
+  t.last_wpage_no <- -1
+
+let code t = t.code
+
+(* closure-free scans: a store's page-cache miss allocates nothing *)
+let rec in_code addr = function
+  | [] -> false
+  | c :: rest -> Code.contains c addr || in_code addr rest
+
+let rec code_overlaps lo hi = function
+  | [] -> false
+  | (c : Code.t) :: rest ->
+    (c.base < hi && c.base + c.size > lo) || code_overlaps lo hi rest
+
+(* the page a store to [addr] lands in.  Executable sections are
+   read-only, like r-x text under a real loader, so a store into one
+   faults; a page no code range touches is cached for the next store. *)
+let wpage_of t addr =
+  let no = addr lsr page_bits in
+  if no = t.last_wpage_no then t.last_wpage
+  else begin
+    if in_code addr t.code then raise (Segfault addr);
+    let p = page_of t addr in
+    let lo = no lsl page_bits in
+    if not (code_overlaps lo (lo + page_size) t.code) then begin
+      t.last_wpage_no <- no;
+      t.last_wpage <- p
+    end;
+    p
   end
 
 let read_u8 t addr =
@@ -117,7 +169,7 @@ let read_u8 t addr =
   Char.code (Bytes.unsafe_get p (addr land (page_size - 1)))
 
 let write_u8 t addr v =
-  let p = page_of t addr in
+  let p = wpage_of t addr in
   Bytes.unsafe_set p (addr land (page_size - 1)) (Char.unsafe_chr (v land 0xff))
 
 (** Little-endian read of [len] in {1,2,4,8} bytes, zero-extended.
@@ -172,9 +224,18 @@ let write t ~addr ~len v =
     write_u8 t (addr + 7) (v lsr 56)
   | _ -> invalid_arg "Mem.write"
 
+(* the loader's copy: page by page, past the read-only check *)
 let write_string t ~addr s =
-  map t ~addr ~len:(String.length s);
-  String.iteri (fun k c -> write_u8 t (addr + k) (Char.code c)) s
+  let n = String.length s in
+  map t ~addr ~len:n;
+  let k = ref 0 in
+  while !k < n do
+    let a = addr + !k in
+    let off = a land (page_size - 1) in
+    let chunk = min (n - !k) (page_size - off) in
+    Bytes.blit_string s !k (page_of t a) off chunk;
+    k := !k + chunk
+  done
 
 (** Read up to [len] bytes starting at [addr], stopping early at the
     first unmapped page.  Used by the instruction fetcher. *)

@@ -68,7 +68,11 @@ let test_load_into () =
   R.load_into mem sample;
   Alcotest.(check int) "text byte" 0x01 (Vm.Mem.read mem ~addr:0x400000 ~len:1);
   Alcotest.(check int) "data zeroed" 0
-    (Vm.Mem.read mem ~addr:0x10000000 ~len:8)
+    (Vm.Mem.read mem ~addr:0x10000000 ~len:8);
+  Alcotest.(check bool) "file-only .traptab not mapped" false
+    (Vm.Mem.is_mapped mem 0);
+  Alcotest.check_raises "text read-only" (Vm.Mem.Segfault 0x400004) (fun () ->
+      Vm.Mem.write mem ~addr:0x400004 ~len:1 0)
 
 let prop_roundtrip =
   let gen_section =

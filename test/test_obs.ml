@@ -155,6 +155,41 @@ let test_json_reader () =
   checkb "trailing garbage is an error" true
     (match J.parse "1 x" with Error _ -> true | Ok _ -> false)
 
+(* Lifetime: a collector's buffers are reachable only through the
+   collector, and a closed engine is referenced by nothing global, so
+   dropping either frees every span it recorded.  20 x 10k spans is
+   about 2M words; what survives a full major GC must be far less. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).live_words
+
+let fill o =
+  for i = 1 to 10_000 do
+    Obs.add_span o "leak.probe" ~start:0.0 ~dur:(float_of_int i)
+  done
+
+let growth make =
+  let before = live_words () in
+  for _ = 1 to 20 do
+    make ()
+  done;
+  live_words () - before
+
+let test_dropped_collectors_freed () =
+  let collectors = growth (fun () -> fill (Obs.create ())) in
+  let engines =
+    growth (fun () ->
+        let eng = Engine.Pipeline.create ~jobs:2 ~cache:false () in
+        ignore (Engine.Pipeline.map eng (fun x -> fill (Engine.Pipeline.obs eng); x) [ 1; 2 ]);
+        fill (Engine.Pipeline.obs eng);
+        Engine.Pipeline.close eng)
+  in
+  let small n = n < 200_000 in
+  checkb (Printf.sprintf "dropped collectors keep %d words" collectors) true
+    (small collectors);
+  checkb (Printf.sprintf "closed engines keep %d words" engines) true
+    (small engines)
+
 let tests =
   [
     Alcotest.test_case "parallel merge == sequential" `Quick
@@ -164,4 +199,6 @@ let tests =
       test_chrome_roundtrip;
     Alcotest.test_case "engine trace covers stages" `Quick test_engine_trace;
     Alcotest.test_case "json reader" `Quick test_json_reader;
+    Alcotest.test_case "dropped collectors and engines are freed" `Quick
+      test_dropped_collectors_freed;
   ]

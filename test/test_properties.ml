@@ -130,6 +130,29 @@ let prop_skip_always_detected =
       | Redfat.Finished _ -> false
       | Redfat.Fault _ -> false)
 
+(* 7. decode once: a binary's code tables are shared by its runs on a
+      domain, so every run of one hardened binary, whether the first,
+      a later one, or one on a second domain, matches the first *)
+let prop_shared_code_runs_agree =
+  QCheck.Test.make ~count:20 ~name:"repeated and cross-domain runs agree"
+    seed_gen
+    (fun seed ->
+      let bin = compile_seed seed in
+      let hards =
+        List.map
+          (fun backend -> (Redfat.harden ~opts:{ Rw.optimized with backend } bin).binary)
+          Backend.Check_backend.all
+      in
+      let run hard =
+        let hr = Redfat.run_hardened hard in
+        (hr.run, Redfat.verdict_to_string hr.verdict)
+      in
+      let firsts = List.map run hards in
+      let here = List.map (fun h -> List.init 2 (fun _ -> run h)) hards in
+      let there = Domain.join (Domain.spawn (fun () -> List.map run hards)) in
+      List.for_all2 (fun first rs -> List.for_all (( = ) first) rs) firsts here
+      && there = firsts)
+
 let tests =
   [
     QCheck_alcotest.to_alcotest prop_semantic_preservation;
@@ -138,4 +161,5 @@ let tests =
     QCheck_alcotest.to_alcotest prop_memcheck_clean;
     QCheck_alcotest.to_alcotest prop_cost_monotone;
     QCheck_alcotest.to_alcotest prop_skip_always_detected;
+    QCheck_alcotest.to_alcotest prop_shared_code_runs_agree;
   ]

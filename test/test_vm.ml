@@ -499,6 +499,182 @@ let test_dispatch_cost () =
     (run 0 + (3 * 5))
     (run 5)
 
+(* --- decoded-instruction tables ---------------------------------------- *)
+
+module R = Binfmt.Relf
+
+let text_binary ?(entry = 0x400000) code =
+  {
+    R.entry;
+    pic = false;
+    stripped = true;
+    sections = [ R.section ~executable:true ~name:".text" ~addr:0x400000 code ];
+  }
+
+(* load [bin] into a fresh VM (stack included) and run it from [entry] *)
+let run_loaded ?entry (bin : R.t) =
+  let cpu = Vm.Cpu.create () in
+  R.load_into cpu.mem bin;
+  Vm.Mem.map cpu.mem ~addr:0x7f0000 ~len:0x10000;
+  cpu.regs.(Isa.rsp) <- 0x7fff00;
+  let (_ : int) =
+    Vm.Cpu.run cpu null_rt ~entry:(Option.value entry ~default:bin.entry)
+  in
+  cpu
+
+let test_code_store_faults () =
+  let m = Vm.Mem.create () in
+  Vm.Mem.map m ~addr:0x1000 ~len:0x1000;
+  Vm.Mem.add_code m (Vm.Code.create ~base:0x1010 ~size:0x10);
+  Vm.Mem.write m ~addr:0x1000 ~len:8 7;
+  Alcotest.(check int) "a store beside the code lands" 7
+    (Vm.Mem.read m ~addr:0x1000 ~len:8);
+  Alcotest.check_raises "store into code" (Vm.Mem.Segfault 0x1010) (fun () ->
+      Vm.Mem.write m ~addr:0x1010 ~len:1 0);
+  Alcotest.check_raises "a store reaching into code faults at its first code byte"
+    (Vm.Mem.Segfault 0x1010) (fun () -> Vm.Mem.write m ~addr:0x100c ~len:8 0);
+  Alcotest.(check int) "code stays readable" 0 (Vm.Mem.read m ~addr:0x1010 ~len:8)
+
+(* Jump into the immediate of a [mov rcx, imm64] whose bytes encode
+   [mov rax, rdx; ret]: the fetch decodes from the byte it lands on,
+   on a table that already holds the enclosing instruction. *)
+let test_jump_into_instruction () =
+  let inner = Encode.encode_seq ~addr:0 [ Isa.Mov_rr (Isa.rax, Isa.rdx); Isa.Ret ] in
+  let imm = ref 0 in
+  String.iteri (fun k c -> imm := !imm lor (Char.code c lsl (8 * k))) inner;
+  let host = Isa.Mov_ri (Isa.rcx, !imm) in
+  let host_bytes = Encode.encode_seq ~addr:0 [ host ] in
+  let k =
+    let n = String.length inner in
+    let rec find k =
+      if String.sub host_bytes k n = inner then k else find (k + 1)
+    in
+    find 0
+  in
+  let prog target =
+    [ i (Isa.Mov_ri (Isa.rdx, 77)); i (Isa.Jmp target); Asm.Label "host"; i host; i Isa.Ret ]
+  in
+  let _, labels = Asm.assemble ~origin:0x400000 (prog 0x400000) in
+  let host_addr = Hashtbl.find labels "host" in
+  let code, _ = Asm.assemble ~origin:0x400000 (prog (host_addr + k)) in
+  let bin = text_binary code in
+  let straight = run_loaded ~entry:host_addr bin in
+  Alcotest.(check int) "the host instruction runs whole" !imm straight.regs.(Isa.rcx);
+  let inside = run_loaded bin in
+  Alcotest.(check int) "decoded from the byte jumped to" 77 inside.regs.(Isa.rax);
+  Alcotest.(check int) "the host instruction never ran" 0 inside.regs.(Isa.rcx)
+
+let undecodable_byte () =
+  List.find
+    (fun b ->
+      match Decode.decode ~addr:0 (String.make 1 (Char.chr b) ^ String.make 39 '\000') 0 with
+      | _ -> false
+      | exception Decode.Decode_error _ -> true)
+    (List.init 256 Fun.id)
+
+let test_decode_failure_not_cached () =
+  let code, _ = Asm.assemble ~origin:0x400000 [ i (Isa.Nop 1) ] in
+  let bin = text_binary (code ^ String.make 1 (Char.chr (undecodable_byte ())) ^ "\000") in
+  for run = 1 to 3 do
+    match run_loaded bin with
+    | _ -> Alcotest.failf "run %d: the undecodable byte ran" run
+    | exception Decode.Decode_error _ -> ()
+  done
+
+let test_code_table_shared () =
+  let code, _ = Asm.assemble ~origin:0x400000 [ i (Isa.Mov_ri (Isa.rax, 5)); i Isa.Ret ] in
+  let bin = text_binary code in
+  let text = R.text_exn bin in
+  let a = run_loaded bin and b = run_loaded bin in
+  Alcotest.(check int) "same result" a.regs.(Isa.rax) b.regs.(Isa.rax);
+  Alcotest.(check bool) "runs on one domain share the table" true
+    (a.code == b.code && a.code == R.code_table text);
+  let other = Domain.join (Domain.spawn (fun () -> R.code_table text)) in
+  Alcotest.(check bool) "another domain has its own" true (other != R.code_table text)
+
+(* Once the table is filled, a step allocates nothing: no option,
+   tuple or closure per fetch or jump.  A second run over the loaded
+   binary is measured; its set-up allocates a few hundred words. *)
+let test_step_allocation_free () =
+  let open Isa in
+  let code, _ =
+    Asm.assemble ~origin:0x400000
+      [
+        i (Mov_ri (rcx, 10_000));
+        i (Mov_ri (rbx, 0x7f0100));
+        Asm.Label "loop";
+        i (Store (W8, mem ~base:rbx (), rcx));
+        i (Load (W8, rax, mem ~base:rbx ()));
+        i (Alu_rr (Add, rdx, rax));
+        Asm.Call_l "fn";
+        i (Alu_ri (Sub, rcx, 1));
+        i (Cmp_ri (rcx, 0));
+        Asm.Jcc_l (Ne, "loop");
+        i Ret;
+        Asm.Label "fn";
+        i (Push rax);
+        i (Pop rax);
+        i Ret;
+      ]
+  in
+  let bin = text_binary code in
+  let (_ : Vm.Cpu.t) = run_loaded bin in
+  let before = Gc.minor_words () in
+  let cpu = run_loaded bin in
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words over %d steps" words cpu.steps)
+    true
+    (cpu.steps > 100_000 && words < 2000.0)
+
+(* the table of a binary nothing refers to any more is collected *)
+let weak_table () =
+  let code, _ = Asm.assemble ~origin:0x400000 [ i (Isa.Mov_ri (Isa.rax, 5)); i Isa.Ret ] in
+  let bin = text_binary code in
+  let (_ : Vm.Cpu.t) = run_loaded bin in
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some (R.code_table (R.text_exn bin)));
+  w
+[@@inline never]
+
+let test_code_table_collected () =
+  let w = weak_table () in
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "collected with its binary" false (Weak.check w 0)
+
+(* MiniC source through the compiler, as a binary *)
+let compile src = Minic.Codegen.compile (Minic.Parser.parse_program src)
+
+let verdicts bin =
+  let _, base = Redfat.run_baseline bin in
+  ( Redfat.verdict_to_string base,
+    List.map
+      (fun backend ->
+        let hard = Redfat.harden ~opts:{ Redfat.Rewrite.optimized with backend } bin in
+        ( Backend.Check_backend.name backend,
+          Redfat.verdict_to_string (Redfat.run_hardened hard.binary).verdict ))
+      Backend.Check_backend.all )
+
+let test_text_store_segfaults () =
+  let bin = compile "fn main() { var p = &main; p[1] = 7; print(1); return 0; }" in
+  let text = R.text_exn bin in
+  let base, hard = verdicts bin in
+  let addr = Scanf.sscanf base "fault: segfault at %i" Fun.id in
+  Alcotest.(check bool) "the baseline faults inside .text" true
+    (addr >= text.addr && addr < text.addr + String.length text.bytes);
+  List.iter
+    (fun (name, v) -> Alcotest.(check string) ("hardened, " ^ name) base v)
+    hard
+
+let test_null_load_segfaults () =
+  let bin = compile "fn main() { var p = 0; print(p[0]); return 0; }" in
+  let base, hard = verdicts bin in
+  Alcotest.(check string) "baseline" "fault: segfault at 0" base;
+  List.iter
+    (fun (name, v) -> Alcotest.(check string) ("hardened, " ^ name) base v)
+    hard
+
 let tests =
   [
     Alcotest.test_case "mem rw widths" `Quick test_mem_rw_widths;
@@ -529,4 +705,15 @@ let tests =
     Alcotest.test_case "exit code" `Quick test_exit_code;
     Alcotest.test_case "memory access cost" `Quick test_cost_model_monotone;
     Alcotest.test_case "dispatch cost" `Quick test_dispatch_cost;
+    Alcotest.test_case "store into code faults" `Quick test_code_store_faults;
+    Alcotest.test_case "jump into an instruction" `Quick test_jump_into_instruction;
+    Alcotest.test_case "decode failures are not cached" `Quick
+      test_decode_failure_not_cached;
+    Alcotest.test_case "code table shared per domain" `Quick test_code_table_shared;
+    Alcotest.test_case "a step allocates nothing" `Quick test_step_allocation_free;
+    Alcotest.test_case "code table collected with its binary" `Quick
+      test_code_table_collected;
+    Alcotest.test_case "store into .text segfaults" `Quick test_text_store_segfaults;
+    Alcotest.test_case "NULL load segfaults when hardened" `Quick
+      test_null_load_segfaults;
   ]
